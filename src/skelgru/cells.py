@@ -8,6 +8,15 @@ with [R, d]; the stacked form is what the model uses to run every
 
 The update convention for the GRU is h = (1-z) * h_prev + z * h_new,
 with z gating the candidate (some libraries swap the two terms).
+
+``gru_sequence`` runs a whole GRU sequence as one tape record with a
+hand-written backward through time (Appleyard et al. 2016, arXiv
+1604.01946): the input halves of the three gate weights project every
+step in one batched matmul, the z and r recurrent halves share one
+matmul per step, and backward collects the gate pre-activation
+gradients of all steps so the input, input-weight and bias gradients
+each take one matmul or sum. ``gru_cell_step`` stays as the per-op
+reference it is checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from . import ops
 from .graph import apply_activation
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, active_tape
 
 
 def _gate_shapes_ok(w: Tensor, b: Tensor, h: int, d: int) -> bool:
@@ -205,6 +214,89 @@ def gru_cell_step(p: GRUCellParams, h_prev: Tensor, x: Tensor) -> Tensor:
     return h_new
 
 
+def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
+    """Run the GRU along axis 0 of ``inputs`` ([T, d] with h0 [h], or
+    [T, R, d] with h0 [R, h]) and return the stacked states [T, (R,) h].
+
+    Records one tape op over (inputs, h0, w_z, b_z, w_r, b_r, w_h, b_h)
+    that saves only the z, r and candidate activations of each step.
+    With no tape, or nothing tracked, it keeps no per-step buffers and
+    projects each step's input as it goes.
+    """
+    if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
+        raise ShapeError(f"gru_sequence expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
+    h, d = p.hidden_size, p.input_size
+    _check_step_shapes(h, d, h0, inputs.data[0])
+    t_len = inputs.shape[0]
+    x = inputs.data.reshape(t_len, -1, d)
+    rows = x.shape[1]
+    # Work feature-major ([features, R] per step), so that the z, r and
+    # candidate parts of a step's [3h, R] gate block are contiguous rows.
+    x_fm = x.transpose(0, 2, 1)
+    h_init = np.ascontiguousarray(h0.data.reshape(rows, h).T)
+    w_x = np.concatenate([w.data[:, h:] for w in (p.w_z, p.w_r, p.w_h)])  # [3h, d]
+    w_zr = np.concatenate([p.w_z.data[:, :h], p.w_r.data[:, :h]])  # [2h, h]
+    w_hh = np.ascontiguousarray(p.w_h.data[:, :h])
+    bias = np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data])[:, None]
+
+    ins = (inputs, h0, p.w_z, p.b_z, p.w_r, p.b_r, p.w_h, p.b_h)
+    tape = active_tape()
+    taped = tape is not None and any(t.requires_grad for t in ins)
+    # Taped, each step's projection is overwritten by its activations
+    # [z; r; h~], so this one buffer is all the record saves.
+    gates = np.matmul(w_x, x_fm) if taped else None  # [T, 3h, R]
+    states = np.empty((t_len, rows, h))
+    h_prev = h_init
+    for t in range(t_len):
+        g = gates[t] if taped else np.matmul(w_x, x_fm[t])
+        g += bias
+        zr = g[:2 * h]
+        zr += w_zr @ h_prev
+        zr[...] = 1.0 / (1.0 + np.exp(-zr))
+        z, r, cand = g[:h], g[h:2 * h], g[2 * h:]
+        cand += w_hh @ (r * h_prev)
+        np.tanh(cand, out=cand)
+        h_prev = (1.0 - z) * h_prev + z * cand
+        states[t] = h_prev.T
+
+    out = Tensor(states.reshape(inputs.shape[:-1] + (h,)))
+    if not taped:
+        return out
+
+    def back(grad):
+        grad_fm = grad.reshape(states.shape).transpose(0, 2, 1)
+        h_prevs = np.empty((t_len, h, rows))
+        h_prevs[0] = h_init
+        h_prevs[1:] = states[:-1].transpose(0, 2, 1)
+        q = np.empty_like(h_prevs)  # r * h_prev, the candidate's recurrent input
+        d_gates = np.empty_like(gates)  # pre-activation gradients [T, 3h, R]
+        dh = np.zeros_like(h_init)
+        for t in reversed(range(t_len)):
+            h_prev = h_prevs[t]
+            z, r, cand = gates[t, :h], gates[t, h:2 * h], gates[t, 2 * h:]
+            dh = dh + grad_fm[t]
+            dc = np.multiply(dh * z, 1.0 - cand * cand, out=d_gates[t, 2 * h:])
+            dq = w_hh.T @ dc
+            np.multiply(dh * (cand - h_prev), z * (1.0 - z), out=d_gates[t, :h])
+            np.multiply(dq * h_prev, r * (1.0 - r), out=d_gates[t, h:2 * h])
+            np.multiply(r, h_prev, out=q[t])
+            dh = dh * (1.0 - z) + dq * r + w_zr.T @ d_gates[t, :2 * h]
+
+        d_x = np.matmul(d_gates.transpose(0, 2, 1), w_x).reshape(inputs.shape)
+        d_wx = np.matmul(d_gates, x).sum(axis=0)
+        d_b = d_gates.sum(axis=(0, 2))
+        d_wzr = np.matmul(d_gates[:, :2 * h], h_prevs.transpose(0, 2, 1)).sum(axis=0)
+        d_whh = np.matmul(d_gates[:, 2 * h:], q.transpose(0, 2, 1)).sum(axis=0)
+        d_w = [np.concatenate((rec, d_wx[k * h:(k + 1) * h]), axis=1)
+               for k, rec in enumerate((d_wzr[:h], d_wzr[h:], d_whh))]
+        d_h0 = np.ascontiguousarray(dh.T).reshape(h0.shape)
+        return (d_x, d_h0, d_w[0], d_b[:h], d_w[1], d_b[h:2 * h], d_w[2], d_b[2 * h:])
+
+    out.requires_grad = True
+    tape.record("gru_sequence", ins, out, back)
+    return out
+
+
 def zero_state(kind: str, hidden_size: int, rows: int | None = None) -> HiddenState:
     """All-zero initial state; shaped [h] or [rows, h]."""
     shape = (hidden_size,) if rows is None else (rows, hidden_size)
@@ -217,7 +309,8 @@ def zero_state(kind: str, hidden_size: int, rows: int | None = None) -> HiddenSt
 def unroll(kind: str, params, inputs: Tensor, h0: HiddenState | None = None) -> Tensor:
     """Run a cell along axis 0 of ``inputs`` ([T, d] or [T, R, d]) and stack
     the hidden states ([T, h] or [T, R, h]). One tape spanning the call makes
-    backward() differentiate through every step.
+    backward() differentiate through every step; the GRU runs as the single
+    fused record of :func:`gru_sequence`.
     """
     if inputs.ndim not in (2, 3):
         raise ShapeError(f"unroll expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
@@ -231,15 +324,15 @@ def unroll(kind: str, params, inputs: Tensor, h0: HiddenState | None = None) -> 
         h0 = zero_state(kind, params.hidden_size, rows)
     if (h0.c is not None) != (kind == "lstm"):
         raise ShapeError("cell state c must be present exactly when kind is 'lstm'")
+    if kind == "gru":
+        return gru_sequence(params, inputs, h0.h)
     h, c = h0.h, h0.c
     states = []
     for t in range(t_len):
         x_t = ops.index_axis(inputs, 0, t)
         if kind == "rnn":
             h, _ = rnn_cell_step(params, h, x_t)
-        elif kind == "lstm":
-            h, c = lstm_cell_step(params, h, c, x_t)
         else:
-            h = gru_cell_step(params, h, x_t)
+            h, c = lstm_cell_step(params, h, c, x_t)
         states.append(h)
     return ops.stack(states, axis=0)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
+from .cells import GRUCellParams, gru_sequence
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (
     ConfigError,
@@ -236,6 +237,13 @@ def _primitive_checks(seed: int) -> list[tuple[str, float]]:
         lambda: ops.sum_all(ops.dropout(
             drop_x, 0.4, training=True, rng=derive_rng(seed, "gradcheck-drop"))),
         drop_x)))
+
+    gru = GRUCellParams(t(3, 5), t(3), t(3, 5), t(3), t(3, 5), t(3))
+    seq_x, seq_h0, seq_weights = t(4, 2, 2), t(2, 3), t(4, 2, 3)
+    for name, leaf in (("x", seq_x), ("h0", seq_h0), ("w_h", gru.w_h)):
+        results.append((f"gru_sequence_{name}", finite_diff_check(
+            lambda: ops.sum_all(ops.mul(gru_sequence(gru, seq_x, seq_h0), seq_weights)),
+            leaf)))
 
     return results
 

@@ -3,8 +3,10 @@
 Every operation in :mod:`skelgru.ops` computes its result eagerly with
 numpy and, when a tape is active and an input is tracked, appends one
 record holding the local gradient rule. Replaying the tape in reverse
-is reverse-mode differentiation; unrolled recurrences therefore get
-backpropagation through time for free.
+is reverse-mode differentiation, so recurrences unrolled op by op (the
+RNN and LSTM cells) get backpropagation through time from the tape. The
+GRU instead records a whole sequence as one op with a hand-written
+backward through time (:func:`skelgru.cells.gru_sequence`).
 """
 
 from __future__ import annotations

@@ -14,13 +14,14 @@ from skelgru.cells import (
     RNNCellParams,
     dense_forward,
     gru_cell_step,
+    gru_sequence,
     lstm_cell_step,
     rnn_cell_step,
     unroll,
     zero_state,
 )
 from skelgru.gradcheck import finite_diff_check
-from skelgru.tensor import ShapeError, Tape, Tensor, backward
+from skelgru.tensor import ShapeError, Tape, Tensor, backward, first_invalid_record
 
 RNG = np.random.default_rng(20240813)
 
@@ -351,3 +352,74 @@ def test_bptt_credit_flows_to_early_inputs():
         loss = ops.sum_all(ops.index_axis(states, 0, 9))
     backward(tape, loss)
     assert np.abs(xs.grad[0]).max() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the fused sequence op against a per-op loop of gru_cell_step
+
+GRU_LEAVES = ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h")
+
+
+def _gru_loop(p, xs, h0):
+    h, states = h0, []
+    for t in range(xs.shape[0]):
+        h = gru_cell_step(p, h, ops.index_axis(xs, 0, t))
+        states.append(h)
+    return ops.stack(states, axis=0)
+
+
+def _states_and_grads(run, p, xs, h0, weights):
+    leaves = [xs, h0] + [getattr(p, k) for k in GRU_LEAVES]
+    for leaf in leaves:
+        leaf.grad = None
+    with Tape() as tape:
+        loss = ops.sum_all(ops.mul(run(p, xs, h0), weights))
+    backward(tape, loss)
+    return loss.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (6, 4, 3)])
+@pytest.mark.parametrize("track_h0", [True, False])
+def test_gru_sequence_matches_cell_step_loop(shape, track_h0):
+    h_size = 5
+    p = rand_gru(h_size, shape[-1], grad=True)
+    xs = rand(shape, grad=True)
+    h0 = rand(shape[1:-1] + (h_size,), grad=track_h0)
+    weights = rand(shape[:-1] + (h_size,))
+    assert np.abs(gru_sequence(p, xs, h0).data - _gru_loop(p, xs, h0).data).max() <= 1e-12
+    loss, grads = _states_and_grads(gru_sequence, p, xs, h0, weights)
+    want_loss, want = _states_and_grads(_gru_loop, p, xs, h0, weights)
+    assert abs(loss - want_loss) <= 1e-12
+    assert (grads[1] is None) == (not track_h0)
+    for name, got, ref in zip(("inputs", "h0") + GRU_LEAVES, grads, want):
+        if ref is not None:
+            assert np.abs(got - ref).max() <= 1e-12, name
+
+
+def test_gru_sequence_is_one_record():
+    p = rand_gru(3, 2, grad=True)
+    with Tape() as tape:
+        gru_sequence(p, rand((5, 4, 2)), rand((4, 3)))
+    assert [rec.op for rec in tape.records] == ["gru_sequence"]
+
+
+def test_gru_sequence_without_tape_records_nothing_and_keeps_bits():
+    p = rand_gru(3, 2, grad=True)
+    xs, h0 = rand((5, 4, 2), grad=True), rand((4, 3))
+    with Tape():
+        taped = gru_sequence(p, xs, h0)
+    untaped = gru_sequence(p, xs, h0)
+    with Tape() as tape:
+        untracked = gru_sequence(rand_gru(3, 2), rand((5, 4, 2)), h0)
+    assert taped.requires_grad and not untaped.requires_grad
+    assert len(tape) == 0 and not untracked.requires_grad
+    assert np.array_equal(taped.data, untaped.data)
+
+
+def test_gru_sequence_nan_names_fused_record():
+    p = rand_gru(3, 2, grad=True)
+    xs = rand((5, 4, 2))
+    xs.data[2, 1, 0] = np.nan
+    with Tape() as tape:
+        states = gru_sequence(p, xs, rand((4, 3)))
+    assert first_invalid_record(tape) == f"gru_sequence#{states.tid}"

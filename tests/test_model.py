@@ -1,6 +1,7 @@
 """End-to-end architecture: embedding, stages, pooling, head, loss."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from skelgru import ops
 from skelgru.cells import GRUCellParams
+from skelgru.config import load_run_config, model_config_from
 from skelgru.gradcheck import finite_diff_check
 from skelgru.graph import GATLayerParams, SkeletonTopology, build_normalized_adjacency, chain_topology
 from skelgru.model import (
@@ -521,3 +523,15 @@ def test_end_to_end_gradient_single_param_spot_check():
     assert finite_diff_check(f, params.embed_w) <= 1e-4
     assert finite_diff_check(f, params.stages[0].gru.w_h) <= 1e-4
     assert finite_diff_check(f, params.attn_w) <= 1e-4
+
+
+def test_desk_forward_record_count():
+    """The desk model's inference-mode forward pass is 279 tape records,
+    four of them the fused GRU; a per-op GRU adds about 670 per stage."""
+    cfg = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.cfg")
+    config = model_config_from(cfg, 9)
+    params = init_model_params(config, seed=0)
+    with Tape() as tape:
+        model_forward(params, config, random_batch(config, b=1), chain_topology(9))
+    ops_ = [rec.op for rec in tape.records]
+    assert (len(ops_), ops_.count("gru_sequence")) == (279, 4)
