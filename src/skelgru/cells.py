@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .graph import apply_activation
 from .tensor import ShapeError, Tensor, active_tape
 
 
@@ -138,7 +137,7 @@ def _as_rows(t: Tensor) -> tuple[Tensor, bool]:
 def _gate(w: Tensor, b: Tensor, h_rows: Tensor, x_rows: Tensor, act: str) -> Tensor:
     """act(W [h, x] + b) for row-stacked states, via [R, h+d] @ W^T."""
     hx = ops.concat((h_rows, x_rows), axis=-1)
-    return apply_activation(act, ops.add_bias(ops.matmul(hx, ops.transpose(w)), b))
+    return ops.elementwise(act, ops.add_bias(ops.matmul(hx, ops.transpose(w)), b))
 
 
 def _check_step_shapes(h: int, d: int, h_prev: Tensor, x: Tensor) -> None:
@@ -158,7 +157,7 @@ def rnn_cell_step(p: RNNCellParams, h_prev: Tensor, x: Tensor) -> tuple[Tensor, 
     h_rows, squeeze = _as_rows(h_prev)
     x_rows, _ = _as_rows(x)
     h_new = _gate(p.w_h, p.b_h, h_rows, x_rows, p.phi)
-    y = apply_activation(p.psi, ops.add_bias(ops.matmul(h_new, ops.transpose(p.w_y)), p.b_y))
+    y = ops.elementwise(p.psi, ops.add_bias(ops.matmul(h_new, ops.transpose(p.w_y)), p.b_y))
     if squeeze:
         return ops.reshape(h_new, (p.hidden_size,)), ops.reshape(y, (y.shape[-1],))
     return h_new, y
@@ -170,8 +169,8 @@ def dense_forward(p: RNNCellParams, x: Tensor) -> tuple[Tensor, Tensor]:
     h = p.hidden_size
     w_hx = ops.slice_axis(p.w_h, 1, h, h + p.input_size)
     x_rows, squeeze = _as_rows(x)
-    h_new = apply_activation(p.phi, ops.add_bias(ops.matmul(x_rows, ops.transpose(w_hx)), p.b_h))
-    y = apply_activation(p.psi, ops.add_bias(ops.matmul(h_new, ops.transpose(p.w_y)), p.b_y))
+    h_new = ops.elementwise(p.phi, ops.add_bias(ops.matmul(x_rows, ops.transpose(w_hx)), p.b_h))
+    y = ops.elementwise(p.psi, ops.add_bias(ops.matmul(h_new, ops.transpose(p.w_y)), p.b_y))
     if squeeze:
         return ops.reshape(h_new, (h,)), ops.reshape(y, (y.shape[-1],))
     return h_new, y
@@ -191,7 +190,7 @@ def lstm_cell_step(p: LSTMCellParams, h_prev: Tensor, c_prev: Tensor, x: Tensor)
     c_tilde = _gate(p.w_c, p.b_c, h_rows, x_rows, "tanh")
     c_new = ops.add(ops.mul(f, c_rows), ops.mul(i, c_tilde))
     o = _gate(p.w_o, p.b_o, h_rows, x_rows, "sigmoid")
-    h_new = ops.mul(o, ops.tanh(c_new))
+    h_new = ops.mul(o, ops.elementwise("tanh", c_new))
     if squeeze:
         h_shape = (p.hidden_size,)
         return ops.reshape(h_new, h_shape), ops.reshape(c_new, h_shape)

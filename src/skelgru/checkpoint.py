@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     magic  b"SKGRU\\x00"
     u16    format version (currently 1)
     u32    config block length, then that many bytes of utf-8
-           "key = value" lines (sorted keys, one per field)
+           "key = value" lines (sorted keys, one per field, strings
+           quoted: gnn_kind = 'gat')
     u32    topology hash length, then that many utf-8 bytes
     u32    tensor count, then per tensor:
         u16  name length, utf-8 name
@@ -15,13 +16,16 @@ Layout (all integers little-endian):
     32 bytes sha256 over everything above
 
 Round-trips are bit-exact: float64 payloads are written raw, never
-through a decimal representation.
+through a decimal representation. A save replaces the file atomically.
+The config block's ``key = value`` codec is shared with run configs; it
+lives here, below both ``config.py`` and ``training.py`` in import order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import struct
 import typing
 
@@ -37,51 +41,58 @@ class CheckpointError(ValueError):
     """Checkpoint file is corrupt, truncated, or incompatible."""
 
 
-def config_to_text(config: ModelConfig) -> str:
-    fields = sorted(f.name for f in dataclasses.fields(ModelConfig))
-    lines = []
-    for name in fields:
-        value = getattr(config, name)
-        lines.append(f"{name} = {value!r}" if isinstance(value, str) else f"{name} = {value}")
-    return "\n".join(lines) + "\n"
+# ---------------------------------------------------------------------------
+# typed "key = value" text, shared by the config block and run configs
+
+def parse_value(key: str, raw: str, kind: type, error: type[ValueError]):
+    """Type one raw value as ``kind`` (int, float or str). A string loses
+    one pair of enclosing quotes, so quoted and bare strings read alike."""
+    raw = raw.strip()
+    if kind is str:
+        if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
+            return raw[1:-1]
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise error(f"{key}: cannot parse {raw!r} as {noun}") from None
 
 
-def config_from_text(text: str) -> ModelConfig:
-    hints = typing.get_type_hints(ModelConfig)
-    kwargs = {}
+def parse_fields(text: str, kinds: dict[str, type], error: type[ValueError], source: str) -> dict:
+    """Read 'key = value' lines, skipping blanks and '#' comments; every
+    key must be in ``kinds``, which types its value. Faults raise ``error``."""
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
-        if " = " not in line:
-            raise CheckpointError(f"config line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition(" = ")
+        if "=" not in line:
+            raise error(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in hints:
-            raise CheckpointError(f"config line {lineno}: unknown field {key!r}")
-        kind = hints[key]
-        if kind is str:
-            raw = raw.strip()
-            if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
-                raw = raw[1:-1]
-            kwargs[key] = raw
-        else:
-            try:
-                kwargs[key] = kind(raw)
-            except ValueError:
-                raise CheckpointError(
-                    f"config line {lineno}: cannot parse {raw!r} as {kind.__name__}"
-                ) from None
-    missing = set(hints) - set(kwargs)
-    if missing:
-        raise CheckpointError(f"config block missing fields: {sorted(missing)}")
-    return ModelConfig(**kwargs)
+        if key not in kinds:
+            raise error(f"{source}:{lineno}: unknown key {key!r}")
+        values[key] = parse_value(key, raw, kinds[key], error)
+    return values
+
+
+def format_fields(values: dict, quote_strings: bool = False) -> str:
+    """One 'key = value' line per key, sorted; strings are written bare, or
+    as Python literals with ``quote_strings`` (the checkpoint's v1 form)."""
+    return "".join(
+        f"{key} = {value!r}\n" if quote_strings and isinstance(value, str) else f"{key} = {value}\n"
+        for key, value in sorted(values.items())
+    )
+
+
+_CONFIG_KINDS = typing.get_type_hints(ModelConfig)
 
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path, topology_hash: str = "") -> None:
     """Write params and config; topology_hash pins the skeleton layout."""
     parts = [MAGIC, struct.pack("<H", VERSION)]
-    cfg = config_to_text(config).encode("utf-8")
+    cfg = format_fields(dataclasses.asdict(config), quote_strings=True).encode("utf-8")
     parts.append(struct.pack("<I", len(cfg)))
     parts.append(cfg)
     topo = topology_hash.encode("utf-8")
@@ -99,9 +110,20 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path, topology_has
             parts.append(struct.pack("<I", dim))
         parts.append(arr.tobytes())
     body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(hashlib.sha256(body).digest())
+    # Write a sibling temp file and rename it over ``path``, so that a crash
+    # or a failed write leaves the previous checkpoint whole.
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -145,7 +167,15 @@ def load_checkpoint(
     version = r.unpack("<H")
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, supported {VERSION}")
-    config = config_from_text(r.take(r.unpack("<I")).decode("utf-8"))
+    block = r.take(r.unpack("<I")).decode("utf-8")
+    values = parse_fields(block, _CONFIG_KINDS, CheckpointError, f"{path} config block")
+    missing = _CONFIG_KINDS.keys() - values.keys()
+    if missing:
+        raise CheckpointError(f"{path}: config block missing fields: {sorted(missing)}")
+    try:
+        config = ModelConfig(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: config block: {exc}") from None
     topo_hash = r.take(r.unpack("<I")).decode("utf-8")
 
     if expected_config is not None:

@@ -2,11 +2,13 @@
 
 File format: one `key = value` per line, '#' comments and blank lines
 ignored. Values are typed by their defaults (int, float, or string) and
-the full table round-trips through serialize_config unchanged.
+the full table round-trips through serialize_config unchanged. The text
+codec is the one checkpoints use for their config block.
 """
 
 from __future__ import annotations
 
+from .checkpoint import format_fields, parse_fields, parse_value
 from .data import SynthSpec
 from .model import ModelConfig
 from .training import TrainPlan
@@ -39,7 +41,6 @@ DEFAULTS: dict[str, int | float | str] = {
     "train.epochs": 100,
     "train.batch_size": 64,
     "train.patience": 0,
-    "train.lr_schedule": "constant",
     "train.init_checkpoint": "",
     "data.topology": "upper17",
     "data.dir": "data",
@@ -57,36 +58,11 @@ DEFAULTS: dict[str, int | float | str] = {
 }
 
 
-def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
-    raw = raw.strip()
-    if isinstance(default, str):
-        return raw
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+_KINDS = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
-    return values
+    return parse_fields(text, _KINDS, ConfigError, source)
 
 
 def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
@@ -102,7 +78,7 @@ def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"override: unknown key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        cfg[key] = parse_value(key, raw, _KINDS[key], ConfigError)
     return cfg
 
 
@@ -110,7 +86,7 @@ def serialize_config(cfg: dict) -> str:
     unknown = set(cfg) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    return "\n".join(f"{key} = {cfg[key]}" for key in sorted(cfg)) + "\n"
+    return format_fields(cfg)
 
 
 def model_config_from(cfg: dict, n_nodes: int) -> ModelConfig:
@@ -147,7 +123,6 @@ def train_plan_from(cfg: dict) -> TrainPlan:
         epochs=cfg["train.epochs"],
         batch_size=cfg["train.batch_size"],
         seed=cfg["seed"],
-        lr_schedule=cfg["train.lr_schedule"],
         patience=cfg["train.patience"],
     )
 

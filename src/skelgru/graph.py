@@ -159,26 +159,9 @@ def build_normalized_adjacency(topo: SkeletonTopology) -> NormalizedAdjacency:
     return NormalizedAdjacency(Tensor(norm))
 
 
-_ACTIVATIONS = {
-    "identity": ops.identity,
-    "relu": ops.relu,
-    "elu": ops.elu,
-    "tanh": ops.tanh,
-    "sigmoid": ops.sigmoid,
-    "leaky_relu": ops.leaky_relu,
-}
-
-
-def apply_activation(tag: str, x: Tensor) -> Tensor:
-    try:
-        return _ACTIVATIONS[tag](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {tag!r}; known: {sorted(_ACTIVATIONS)}") from None
-
-
 def gcn_forward(adj: NormalizedAdjacency, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
     """act(adj @ h @ w); leading axes of ``h`` are independent frames."""
-    return apply_activation(act, ops.matmul(ops.matmul(adj.matrix, h), w))
+    return ops.elementwise(act, ops.matmul(ops.matmul(adj.matrix, h), w))
 
 
 @dataclass
@@ -191,7 +174,6 @@ class GATLayerParams:
     heads: int
     w: list[Tensor]
     a: list[Tensor]
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         if self.heads != len(self.w) or self.heads != len(self.a):
@@ -224,7 +206,7 @@ def _head_scores(params: GATLayerParams, head: int, h: Tensor, topo: SkeletonTop
     a_other = ops.reshape(ops.slice_axis(a_k, 0, d_head, 2 * d_head), (d_head, 1))
     scores_self = ops.reshape(ops.matmul(proj, a_self), proj.shape[:-1])
     scores_other = ops.reshape(ops.matmul(proj, a_other), proj.shape[:-1])
-    logits = ops.leaky_relu(ops.outer_add(scores_self, scores_other), params.leaky_slope)
+    logits = ops.elementwise("leaky_relu", ops.outer_add(scores_self, scores_other))
     masked = ops.add(logits, _neighborhood_mask_add(topo, logits.shape[:-2]))
     return proj, ops.softmax_rows(masked)
 
@@ -245,4 +227,4 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     for k in range(params.heads):
         proj, alpha = _head_scores(params, k, h, topo)
         per_head.append(ops.matmul(alpha, proj))
-    return apply_activation(act, ops.concat(per_head, axis=-1))
+    return ops.elementwise(act, ops.concat(per_head, axis=-1))

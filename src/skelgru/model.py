@@ -296,8 +296,8 @@ def classify(
 ) -> Tensor:
     """Two bias-free dense layers with activation and dropout, then the
     linear output map; returns raw logits."""
-    h1 = ops.dropout(ops.relu(ops.matmul(pooled, params.fc1)), dropout_rate, training, rng)
-    h2 = ops.dropout(ops.relu(ops.matmul(h1, params.fc2)), dropout_rate, training, rng)
+    h1 = ops.dropout(ops.elementwise("relu", ops.matmul(pooled, params.fc1)), dropout_rate, training, rng)
+    h2 = ops.dropout(ops.elementwise("relu", ops.matmul(h1, params.fc2)), dropout_rate, training, rng)
     return ops.add_bias(ops.matmul(h2, params.out_w), params.out_b)
 
 
@@ -334,11 +334,6 @@ def model_forward(
     logits = classify(params, pooled, training, rng, config.dropout_rate)
     assert logits.shape == (b, config.classes)
     return logits
-
-
-def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label], log-sum-exp stabilized."""
-    return ops.cross_entropy(logits, labels)
 
 
 def predict(logits: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -394,6 +389,6 @@ def model_gradient_report(
 
     def f():
         logits = model_forward(params, config, batch, topo, training=False)
-        return cross_entropy_loss(logits, batch.labels)
+        return ops.cross_entropy(logits, batch.labels)
 
     return finite_diff_report(f, named_parameters(params), eps=eps)

@@ -148,6 +148,8 @@ _UNARY = {
         lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))),
         lambda x, y: np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0))),
     ),
+    # slope 0.2, as in the GAT paper (Velickovic et al. 2018)
+    "leaky_relu": (lambda x: np.where(x > 0, x, 0.2 * x), lambda x, y: np.where(x > 0, 1.0, 0.2)),
 }
 
 _BINARY = {
@@ -157,11 +159,10 @@ _BINARY = {
 }
 
 
-def elementwise(tag: str, *args: Tensor, slope: float = 0.2) -> Tensor:
-    """Tagged pointwise op: unary activations plus same-shape add/mul/sub."""
-    if tag == "leaky_relu":
-        return leaky_relu(args[0], slope)
-    if tag in _UNARY:
+def elementwise(tag: str, *args: Tensor) -> Tensor:
+    """Tagged pointwise op: unary activations plus same-shape add/mul/sub.
+    Layers name their activation by one of these tags."""
+    if tag in _UNARY and len(args) == 1:
         (x,) = args
         fn, dfn = _UNARY[tag]
         y = fn(x.data)
@@ -171,7 +172,7 @@ def elementwise(tag: str, *args: Tensor, slope: float = 0.2) -> Tensor:
             return (g * _dfn(_xd, _y),)
 
         return _emit(tag, (x,), y, back)
-    if tag in _BINARY:
+    if tag in _BINARY and len(args) == 2:
         a, b = args
         if a.shape != b.shape:
             raise ShapeError(f"{tag} requires identical shapes, got {list(a.shape)} vs {list(b.shape)}")
@@ -182,37 +183,8 @@ def elementwise(tag: str, *args: Tensor, slope: float = 0.2) -> Tensor:
             return _dfn(_ad, _bd, g)
 
         return _emit(tag, (a, b), fn(ad, bd), back)
-    raise ValueError(f"unknown elementwise tag {tag!r}; known: "
-                     f"{sorted(_UNARY) + sorted(_BINARY) + ['leaky_relu']}")
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    xd = x.data
-
-    def back(g):
-        return (g * np.where(xd > 0, 1.0, slope),)
-
-    return _emit("leaky_relu", (x,), np.where(xd > 0, xd, slope * xd), back)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return elementwise("sigmoid", x)
-
-
-def tanh(x: Tensor) -> Tensor:
-    return elementwise("tanh", x)
-
-
-def relu(x: Tensor) -> Tensor:
-    return elementwise("relu", x)
-
-
-def elu(x: Tensor) -> Tensor:
-    return elementwise("elu", x)
-
-
-def identity(x: Tensor) -> Tensor:
-    return elementwise("identity", x)
+    raise ValueError(f"unknown elementwise tag {tag!r} for {len(args)} operand(s); "
+                     f"unary: {sorted(_UNARY)}, binary: {sorted(_BINARY)}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -337,8 +309,9 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     return _emit("dropout", (x,), x.data * keep, back)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log softmax probability of the true class, via log-sum-exp."""
+def sample_nll(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample negative log softmax probability of the true class, via
+    max-stabilized log-sum-exp; returned with each row's log-sum-exp."""
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects [batch, classes] logits, got {list(logits.shape)}")
     n, c = logits.shape
@@ -347,15 +320,20 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"labels shape {list(labels.shape)} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c}): {labels.min()}..{labels.max()}")
-    m = logits.data.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits.data - m).sum(axis=-1))
-    rows = np.arange(n)
-    loss = np.float64((lse - logits.data[rows, labels]).mean())
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    return lse - logits[np.arange(n), labels], lse
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean of :func:`sample_nll` over the batch."""
+    nll, lse = sample_nll(logits.data, labels)
+    n = len(nll)
     probs = np.exp(logits.data - lse[:, None])
 
     def back(g):
         d = probs.copy()
-        d[rows, labels] -= 1.0
+        d[np.arange(n), labels] -= 1.0
         return (d * (float(g) / n),)
 
-    return _emit("cross_entropy", (logits,), loss, back)
+    return _emit("cross_entropy", (logits,), np.float64(nll.mean()), back)

@@ -138,7 +138,6 @@ class TrainPlan:
     epochs: int
     batch_size: int
     seed: int = 0
-    lr_schedule: str = "constant"
     patience: int = 0  # 0 disables early stopping
 
     def __post_init__(self):
@@ -146,8 +145,6 @@ class TrainPlan:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_schedule != "constant":
-            raise ValueError(f"only the 'constant' schedule exists, got {self.lr_schedule!r}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
@@ -282,10 +279,6 @@ def evaluate(
     return EvalReport(accuracy, conf, per_class_metrics(conf))
 
 
-def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    return ops.cross_entropy(Tensor(logits), labels).item()
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -359,13 +352,10 @@ def train(
                         )
                     backward(tape, loss)
                 adamw_step(state, named)
-                z = logits.data
-                peak = z.max(axis=1, keepdims=True)
-                lse = peak[:, 0] + np.log(np.exp(z - peak).sum(axis=1))
-                sample_losses[idx] = lse - z[np.arange(len(idx)), batch.labels]
+                sample_losses[idx] = ops.sample_nll(logits.data, batch.labels)[0]
 
             val_logits = eval_logits(params, config, topo, val_split, plan.batch_size)
-            val_loss = _mean_loss(val_logits, val_split.labels)
+            val_loss = float(ops.sample_nll(val_logits, val_split.labels)[0].mean())
             val_acc = float((val_logits.argmax(axis=1) == val_split.labels).mean())
             record = {
                 "epoch": epoch,

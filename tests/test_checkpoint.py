@@ -1,18 +1,13 @@
 import dataclasses
+import errno
 import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from skelgru.checkpoint import (
-    MAGIC,
-    CheckpointError,
-    config_from_text,
-    config_to_text,
-    load_checkpoint,
-    save_checkpoint,
-)
+from skelgru import checkpoint
+from skelgru.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from skelgru.graph import chain_topology
 from skelgru.model import init_model_params, named_parameters, tiny_reference_config
 
@@ -20,6 +15,26 @@ from skelgru.model import init_model_params, named_parameters, tiny_reference_co
 def resign(body: bytes) -> bytes:
     """Re-append a valid trailing digest after surgery on the body."""
     return body + hashlib.sha256(body).digest()
+
+
+BLOCK_AT = len(MAGIC) + 2  # the config block's u32 length follows magic and version
+
+
+def config_block(path) -> str:
+    body = path.read_bytes()
+    (n,) = struct.unpack("<I", body[BLOCK_AT:BLOCK_AT + 4])
+    return body[BLOCK_AT + 4:BLOCK_AT + 4 + n].decode("utf-8")
+
+
+def with_config_block(path, edit):
+    """A re-signed copy of the checkpoint whose config block is edit(block)."""
+    body = path.read_bytes()[:-32]
+    old = config_block(path).encode("utf-8")
+    new = edit(old.decode("utf-8")).encode("utf-8")
+    rest = body[BLOCK_AT + 4 + len(old):]
+    bad = path.with_name("tampered.ckpt")
+    bad.write_bytes(resign(body[:BLOCK_AT] + struct.pack("<I", len(new)) + new + rest))
+    return bad
 
 
 @pytest.fixture
@@ -144,35 +159,99 @@ class TestCompatibility:
 
 
 class TestConfigCodec:
-    def test_round_trip(self):
-        config = tiny_reference_config()
-        assert config_from_text(config_to_text(config)) == config
+    def test_round_trip(self, saved):
+        _, config, path, _ = saved
+        assert load_checkpoint(path)[1] == config
 
-    def test_all_fields_present(self):
-        text = config_to_text(tiny_reference_config())
-        for f in dataclasses.fields(tiny_reference_config()):
+    def test_all_fields_present(self, saved):
+        _, config, path, _ = saved
+        text = config_block(path)
+        for f in dataclasses.fields(config):
             assert f.name in text
 
-    def test_missing_field_rejected(self):
-        text = config_to_text(tiny_reference_config())
-        text = "\n".join(l for l in text.splitlines() if not l.startswith("hidden"))
+    def test_block_text_is_pinned(self, saved):
+        # v1 bytes: sorted fields, strings as Python literals
+        _, _, path, _ = saved
+        assert config_block(path) == (
+            "classes = 3\ndropout_rate = 0.0\nfc_width = 0\ngnn_kind = 'gat'\n"
+            "heads = 2\nhidden = 4\ninput_dim = 2\nn_nodes = 3\n"
+            "norm_epsilon = 1e-05\nseq_len = 3\nstages = 2\n"
+        )
+
+    def test_missing_field_rejected(self, saved):
+        _, _, path, _ = saved
+        bad = with_config_block(path, lambda text: "\n".join(
+            l for l in text.splitlines() if not l.startswith("hidden")))
         with pytest.raises(CheckpointError, match="missing"):
-            config_from_text(text)
+            load_checkpoint(bad)
 
-    def test_unknown_field_rejected(self):
-        text = config_to_text(tiny_reference_config()) + "bogus = 1\n"
-        with pytest.raises(CheckpointError, match="unknown field"):
-            config_from_text(text)
+    def test_unknown_field_rejected(self, saved):
+        _, _, path, _ = saved
+        bad = with_config_block(path, lambda text: text + "bogus = 1\n")
+        with pytest.raises(CheckpointError, match="unknown key 'bogus'"):
+            load_checkpoint(bad)
 
-    def test_unparseable_value_rejected(self):
-        text = config_to_text(tiny_reference_config()).replace("stages = 2", "stages = two")
+    def test_unparseable_value_rejected(self, saved):
+        _, _, path, _ = saved
+        bad = with_config_block(path, lambda text: text.replace("stages = 2", "stages = two"))
         with pytest.raises(CheckpointError, match="cannot parse"):
-            config_from_text(text)
+            load_checkpoint(bad)
 
-    def test_float_fields_survive(self):
+    def test_invalid_value_rejected(self, saved):
+        _, _, path, _ = saved
+        bad = with_config_block(path, lambda text: text.replace("stages = 2", "stages = 0"))
+        with pytest.raises(CheckpointError, match="stages must be >= 1"):
+            load_checkpoint(bad)
+
+    def test_float_fields_survive(self, tmp_path):
         config = dataclasses.replace(
             tiny_reference_config(), norm_epsilon=1.5e-7, dropout_rate=0.125
         )
-        back = config_from_text(config_to_text(config))
+        path = tmp_path / "floats.ckpt"
+        save_checkpoint(init_model_params(config), config, path)
+        back = load_checkpoint(path)[1]
         assert back.norm_epsilon == 1.5e-7
         assert back.dropout_rate == 0.125
+
+
+class _DiskFull:
+    """A file whose writes stop with ENOSPC once ``room`` bytes are written."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[:self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_checkpoint(self, saved, tmp_path, monkeypatch):
+        params, config, path, topo = saved
+        before = path.read_bytes()
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **k: _DiskFull(open(*a, **k), room=1000), raising=False)
+        for p in params.stages[0].gru.w_h, params.embed_w:
+            p.data += 1.0
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(params, config, path, topology_hash=topo.canonical_hash())
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        loaded, _, _ = load_checkpoint(path)
+        orig = dict(named_parameters(init_model_params(config, seed=11)))
+        for name, tensor in named_parameters(loaded):
+            assert tensor.data.tobytes() == orig[name].data.tobytes(), name

@@ -1,7 +1,14 @@
 import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import skelgru
 
 from skelgru.checkpoint import save_checkpoint
 from skelgru.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, main
@@ -288,3 +295,17 @@ class TestGradcheck:
         assert run("gradcheck") == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_each_module_imports_alone():
+    # pytest imports modules in an order that can hide an import cycle, so
+    # each one is imported first thing in a fresh interpreter
+    names = ["skelgru"] + [f"skelgru.{m.name}" for m in pkgutil.iter_modules(skelgru.__path__)
+                           if m.name != "__main__"]
+    assert len(names) == 13
+    src = str(Path(skelgru.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for name in names:
+        proc = subprocess.run([sys.executable, "-c", f"import {name}"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, f"import {name} failed:\n{proc.stderr}"

@@ -50,6 +50,10 @@ class TestParsing:
         got = parse_config_text("data.topology = chain:9\n")
         assert got["data.topology"] == "chain:9"
 
+    def test_quoted_string_value_loses_its_quotes(self):
+        # the codec checkpoints use for their config block, where strings are quoted
+        assert parse_config_text("model.gnn = 'gcn'\n") == {"model.gnn": "gcn"}
+
     def test_empty_string_value(self):
         got = parse_config_text("train.init_checkpoint =\n")
         assert got["train.init_checkpoint"] == ""

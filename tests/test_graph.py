@@ -11,7 +11,6 @@ from skelgru.graph import (
     GATLayerParams,
     SkeletonTopology,
     TopologyError,
-    apply_activation,
     build_normalized_adjacency,
     chain_topology,
     default_17_topology,
@@ -206,9 +205,14 @@ def test_gcn_with_identity_adjacency_is_the_feedforward_case():
         assert np.allclose(spatial[v], hv.data, atol=1e-14)
 
 
-def test_apply_activation_unknown_tag():
-    with pytest.raises(ValueError, match="unknown activation"):
-        apply_activation("gelu", rand((2, 2)))
+def test_spatial_layers_reject_unknown_activation():
+    topo = chain_topology(3)
+    h = rand((3, 2))
+    for act in ("gelu", "add"):  # "add" is a tag, but not an activation
+        with pytest.raises(ValueError, match=f"'{act}'"):
+            gcn_forward(build_normalized_adjacency(topo), h, rand((2, 2)), act=act)
+    with pytest.raises(ValueError, match="'gelu'"):
+        gat_forward(random_gat_params(2, 2), h, topo, act="gelu")
 
 
 # ---------------------------------------------------------------------------

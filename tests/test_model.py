@@ -18,7 +18,6 @@ from skelgru.model import (
     SequenceBatch,
     StageParams,
     classify,
-    cross_entropy_loss,
     embed_input,
     init_model_params,
     model_forward,
@@ -459,22 +458,22 @@ def test_model_zero_blocks_reduce_to_repeated_layer_norm():
 def test_loss_uniform_logits_is_log_class_count():
     for c in (2, 5, 226):
         logits = Tensor(np.zeros((3, c)))
-        loss = cross_entropy_loss(logits, np.zeros(3, dtype=int))
+        loss = ops.cross_entropy(logits, np.zeros(3, dtype=int))
         assert abs(loss.item() - math.log(c)) <= 1e-12
-    assert abs(cross_entropy_loss(Tensor(np.zeros((1, 226))), [0]).item() - 5.4205) < 5e-5
+    assert abs(ops.cross_entropy(Tensor(np.zeros((1, 226))), [0]).item() - 5.4205) < 5e-5
 
 
 def test_loss_saturated_logit_is_near_zero():
     logits = Tensor(np.zeros((1, 4)))
     logits.data[0, 2] = 1000.0
-    assert cross_entropy_loss(logits, np.array([2])).item() <= 1e-12
+    assert ops.cross_entropy(logits, np.array([2])).item() <= 1e-12
 
 
 def test_loss_is_mean_of_per_sample_losses():
     logits = rand((2, 5), scale=2.0)
     labels = np.array([3, 1])
     want = oracles.cross_entropy_ref(logits.data, labels)
-    assert np.isclose(cross_entropy_loss(logits, labels).item(), want, atol=1e-12)
+    assert np.isclose(ops.cross_entropy(logits, labels).item(), want, atol=1e-12)
 
 
 def test_predict_tie_breaks_to_lowest_index():
@@ -518,7 +517,7 @@ def test_end_to_end_gradient_single_param_spot_check():
 
     def f():
         logits = model_forward(params, config, batch, topo, training=False)
-        return cross_entropy_loss(logits, batch.labels)
+        return ops.cross_entropy(logits, batch.labels)
 
     assert finite_diff_check(f, params.embed_w) <= 1e-4
     assert finite_diff_check(f, params.stages[0].gru.w_h) <= 1e-4

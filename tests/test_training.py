@@ -150,8 +150,6 @@ class TestAdamW:
         with pytest.raises(ValueError):
             TrainPlan(epochs=1, batch_size=0)
         with pytest.raises(ValueError):
-            TrainPlan(epochs=1, batch_size=4, lr_schedule="cosine")
-        with pytest.raises(ValueError):
             TrainPlan(epochs=1, batch_size=4, patience=-1)
 
 
