@@ -31,7 +31,8 @@ from .data import (
     write_dataset,
 )
 from .gradcheck import finite_diff_check
-from .graph import TopologyError, chain_topology, resolve_topology
+from .graph import (GATLayerParams, SkeletonTopology, TopologyError, chain_topology,
+                    gat_forward, resolve_topology)
 from .model import (
     init_model_params,
     model_gradient_report,
@@ -206,10 +207,6 @@ def _primitive_checks(seed: int) -> list[tuple[str, float]]:
     results.append(("add_bias", finite_diff_check(
         lambda: ops.sum_all(ops.elementwise("tanh", ops.add_bias(h, bias))), bias)))
 
-    s, r = t(2, 3), t(2, 3)
-    results.append(("outer_add", finite_diff_check(
-        lambda: ops.sum_all(ops.elementwise("sigmoid", ops.outer_add(s, r))), s)))
-
     logits = t(3, 4)
     mask = np.zeros((3, 4))
     mask[0, 2] = -np.inf
@@ -242,6 +239,13 @@ def _primitive_checks(seed: int) -> list[tuple[str, float]]:
         results.append((f"gru_sequence_{name}", finite_diff_check(
             lambda: ops.sum_all(ops.mul(gru_sequence(gru, seq_x, seq_h0), seq_weights)),
             leaf)))
+
+    star = SkeletonTopology(5, ((0, 1), (0, 2), (0, 3)))  # degree-3 node 0, isolated node 4
+    gat = GATLayerParams(2, [t(3, 2) for _ in range(2)], [t(4) for _ in range(2)])
+    gat_h, gat_weights = t(2, 3, 5, 3), t(2, 3, 5, 4)
+    for name, leaf in (("h", gat_h), ("w", gat.w[1]), ("a", gat.a[0])):
+        results.append((f"gat_layer_{name}", finite_diff_check(
+            lambda: ops.sum_all(ops.mul(gat_forward(gat, gat_h, star), gat_weights)), leaf)))
 
     return results
 

@@ -5,17 +5,23 @@ convolution (propagation through D^-1/2 (A+I) D^-1/2) and a multi-head
 attention layer whose coefficients are a masked softmax over each node's
 closed neighborhood. Both accept a single frame [N, d] or a stack of
 frames [..., N, d] and treat leading axes as independent graphs.
+
+The attention layer (Velickovic et al. 2018, arXiv 1710.10903) is one
+tape record with a hand-written backward. All heads project in one
+matmul and score in one block-diagonal matmul, feature-major with the
+frames last, over a padded table of each node's closed neighborhood.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, active_tape
 
 
 class TopologyError(ValueError):
@@ -66,6 +72,16 @@ class SkeletonTopology:
         m = self.adjacency().astype(bool)
         np.fill_diagonal(m, True)
         return m
+
+    @cached_property
+    def neighbor_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed neighborhoods padded to the largest closed degree D:
+        nbr[v, j] is v's j-th neighbor (v itself in slot 0, and in the
+        padding), and pad[v, j] marks the padding."""
+        rows = [[v] + [i + j - v for i, j in self.edges if v in (i, j)] for v in range(self.n_nodes)]
+        width = max(map(len, rows))
+        nbr = np.array([row + [v] * (width - len(row)) for v, row in enumerate(rows)])
+        return nbr, np.arange(width) >= np.array(list(map(len, rows)))[:, None]
 
     def canonical_hash(self) -> str:
         text = f"{self.n_nodes}|" + ",".join(f"{i}-{j}" for i, j in self.edges)
@@ -180,51 +196,98 @@ class GATLayerParams:
             raise ShapeError(
                 f"{self.heads} heads but {len(self.w)} W / {len(self.a)} a tensors"
             )
-        for w_k, a_k in zip(self.w, self.a):
-            if a_k.shape != (2 * w_k.shape[1],):
-                raise ShapeError(
-                    f"scorer {list(a_k.shape)} does not match projection {list(w_k.shape)}"
-                )
-
-    @property
-    def d_head(self) -> int:
-        return self.w[0].shape[1]
+        for w_k, a_k in zip(self.w, self.a):  # heads are fused, so all share one shape
+            if w_k.shape != self.w[0].shape or a_k.shape != (2 * w_k.shape[1],):
+                raise ShapeError(f"projection {list(w_k.shape)} / scorer {list(a_k.shape)} "
+                                 f"do not match head 0's projection {list(self.w[0].shape)}")
 
 
-def _neighborhood_mask_add(topo: SkeletonTopology, lead_shape: tuple[int, ...]) -> Tensor:
-    """Additive mask: 0 inside each closed neighborhood, -inf outside."""
-    mask = np.where(topo.closed_neighborhood(), 0.0, -np.inf)
-    return Tensor(np.broadcast_to(mask, lead_shape + mask.shape))
-
-
-def _head_scores(params: GATLayerParams, head: int, h: Tensor, topo: SkeletonTopology):
-    """Projection P = h @ W and masked attention rows for one head."""
-    w_k, a_k = params.w[head], params.a[head]
-    d_head = params.d_head
-    proj = ops.matmul(h, w_k)  # [..., N, d_head]
-    a_self = ops.reshape(ops.slice_axis(a_k, 0, 0, d_head), (d_head, 1))
-    a_other = ops.reshape(ops.slice_axis(a_k, 0, d_head, 2 * d_head), (d_head, 1))
-    scores_self = ops.reshape(ops.matmul(proj, a_self), proj.shape[:-1])
-    scores_other = ops.reshape(ops.matmul(proj, a_other), proj.shape[:-1])
-    logits = ops.elementwise("leaky_relu", ops.outer_add(scores_self, scores_other))
-    masked = ops.add(logits, _neighborhood_mask_add(topo, logits.shape[:-2]))
-    return proj, ops.softmax_rows(masked)
+def _attend(params: GATLayerParams, h: Tensor, topo: SkeletonTopology):
+    """All heads' attention, feature-major with the M frames last: W_cat
+    [d_in, K*d], the block-diagonal scorer [2K, K*d], the input view
+    [N, d_in, M], projections P [N, K*d, M], and the weights alpha and
+    leaky-ReLU slopes [N, D, K, M] over the D padded neighbor slots."""
+    n, (d_in, d), k = topo.n_nodes, params.w[0].shape, params.heads
+    if h.ndim < 2 or h.shape[-2:] != (n, d_in):
+        raise ShapeError(f"GAT input {list(h.shape)} does not match [..., {n}, {d_in}]")
+    nbr, pad = topo.neighbor_slots
+    w_cat = np.concatenate([w.data for w in params.w], axis=1)
+    scorer = np.zeros((2, k, k, d))  # [self; neighbor] row per head, on that head's columns
+    scorer[:, range(k), range(k)] = np.stack([a.data.reshape(2, d) for a in params.a], axis=1)
+    scorer = scorer.reshape(2 * k, k * d)
+    ht = h.data.reshape(-1, n, d_in).transpose(1, 2, 0)
+    p = np.matmul(w_cat.T, ht)
+    s = np.matmul(scorer, p)  # [N, 2K, M]
+    e = s[:, None, :k] + s[nbr, k:]
+    slope = np.where(e > 0, 1.0, 0.2)
+    e *= slope
+    e[pad] = -np.inf
+    alpha = np.exp(e - e.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    return w_cat, scorer, ht, p, alpha, slope
 
 
 def gat_coefficients(params: GATLayerParams, head: int, h: Tensor, topo: SkeletonTopology) -> Tensor:
-    """Attention matrix for one head: row v holds the weights over v's
-    closed neighborhood (softmax of leaky-relu pair scores), zero elsewhere."""
+    """Untaped attention matrix [..., N, N] for one head: row v holds the
+    weights over v's closed neighborhood (softmax of leaky-relu pair
+    scores), zero elsewhere."""
     if not 0 <= head < params.heads:
         raise ShapeError(f"head {head} out of range for {params.heads} heads")
-    _, alpha = _head_scores(params, head, h, topo)
-    return alpha
+    alpha = _attend(params, h, topo)[4][:, :, head].transpose(2, 0, 1)  # [M, N, D]
+    n, nbr = topo.n_nodes, topo.neighbor_slots[0]
+    dense = np.zeros((alpha.shape[0], n, n))
+    np.add.at(dense, (slice(None), np.arange(n)[:, None], nbr), alpha)  # pad slots add 0
+    return Tensor(dense.reshape(h.shape[:-1] + (n,)))
 
 
 def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: str = "elu") -> Tensor:
     """Per head, each node becomes the attention-weighted sum of projected
-    closed-neighborhood features; heads are concatenated, then activated."""
-    per_head = []
-    for k in range(params.heads):
-        proj, alpha = _head_scores(params, k, h, topo)
-        per_head.append(ops.matmul(alpha, proj))
-    return ops.elementwise(act, ops.concat(per_head, axis=-1))
+    closed-neighborhood features; heads are concatenated, then activated.
+    Records one tape op over (h, w_0..w_{K-1}, a_0..a_{K-1}); with no tape,
+    or nothing tracked, it keeps no intermediates and returns the same bits.
+    """
+    if act not in ops.UNARY:
+        raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
+    fn, dfn = ops.UNARY[act]
+    w_cat, scorer, ht, p, alpha, slope = _attend(params, h, topo)
+    nbr, pad = topo.neighbor_slots
+    (n, kd, m), k = p.shape, params.heads
+    p4 = p.reshape(n, k, -1, m)
+    # One (node, slot, neighbor) pair at a time: every operand is a
+    # contiguous [K, d, M] slab, and the [N, D, K*d, M] gather never exists.
+    pairs = [(v, j, nbr[v, j]) for v, j in zip(*np.nonzero(~pad))]
+    z = np.zeros_like(p4)
+    for v, j, u in pairs:
+        z[v] += alpha[v, j, :, None] * p4[u]
+    ins = (h, *params.w, *params.a)
+    tape = active_tape()
+    taped = tape is not None and any(t.requires_grad for t in ins)
+    if not taped:
+        del p, p4, alpha, slope
+    x = np.ascontiguousarray(z.reshape(n, kd, m).transpose(2, 0, 1))  # [M, N, K*d]
+    del z
+    out = Tensor(fn(x).reshape(h.shape[:-1] + (kd,)))
+    if not taped:
+        return out
+
+    def back(grad):
+        dx = grad.reshape(x.shape) * dfn(x, out.data.reshape(x.shape))
+        dz = np.ascontiguousarray(dx.transpose(1, 2, 0)).reshape(p4.shape)
+        d_alpha, d_p = np.zeros_like(alpha), np.zeros_like(dz)
+        for v, j, u in pairs:
+            d_alpha[v, j] = (dz[v] * p4[u]).sum(axis=1)
+            d_p[u] += alpha[v, j, :, None] * dz[v]
+        d_e = d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True)
+        d_e *= alpha * slope
+        d_s = np.concatenate((d_e.sum(axis=1), np.zeros((n, k, m))), axis=1)
+        for v, j, u in pairs:
+            d_s[u, k:] += d_e[v, j]
+        d_p = d_p.reshape(p.shape) + np.matmul(scorer.T, d_s)
+        d_a = np.einsum("nskm,nkcm->skc", d_s.reshape(n, 2, k, m), p4)
+        d_w = np.matmul(ht, d_p.transpose(0, 2, 1)).sum(axis=0).reshape(-1, k, kd // k)
+        d_h = np.matmul(w_cat, d_p).transpose(2, 0, 1).reshape(h.shape)
+        return (d_h, *(d_w[:, i] for i in range(k)), *(d_a[:, i].ravel() for i in range(k)))
+
+    out.requires_grad = True
+    tape.record("gat_layer", ins, out, back)
+    return out

@@ -1,9 +1,8 @@
 """Recorded tensor operations with their local gradient rules.
 
-Binary pointwise ops require identical shapes; the only broadcasts are
-explicit, named ops (`add_bias` over the last axis, `outer_add` for
-pairwise attention logits). Shape bugs are meant to raise, not to be
-papered over by numpy broadcasting.
+Binary pointwise ops require identical shapes; the only broadcast is the
+explicit, named `add_bias` over the last axis. Shape bugs are meant to
+raise, not to be papered over by numpy broadcasting.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # pointwise
 
-_UNARY = {
+UNARY = {
     "identity": (lambda x: x, lambda x, y: np.ones_like(x)),
     "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
@@ -162,9 +161,9 @@ _BINARY = {
 def elementwise(tag: str, *args: Tensor) -> Tensor:
     """Tagged pointwise op: unary activations plus same-shape add/mul/sub.
     Layers name their activation by one of these tags."""
-    if tag in _UNARY and len(args) == 1:
+    if tag in UNARY and len(args) == 1:
         (x,) = args
-        fn, dfn = _UNARY[tag]
+        fn, dfn = UNARY[tag]
         y = fn(x.data)
         xd = x.data
 
@@ -184,7 +183,7 @@ def elementwise(tag: str, *args: Tensor) -> Tensor:
 
         return _emit(tag, (a, b), fn(ad, bd), back)
     raise ValueError(f"unknown elementwise tag {tag!r} for {len(args)} operand(s); "
-                     f"unary: {sorted(_UNARY)}, binary: {sorted(_BINARY)}")
+                     f"unary: {sorted(UNARY)}, binary: {sorted(_BINARY)}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -218,17 +217,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         return g, np.ascontiguousarray(g.sum(axis=lead)) if lead else g.copy()
 
     return _emit("add_bias", (x, b), x.data + b.data, back)
-
-
-def outer_add(s: Tensor, r: Tensor) -> Tensor:
-    """out[..., v, u] = s[..., v] + r[..., u]; the pairwise-logit broadcast."""
-    if s.shape != r.shape:
-        raise ShapeError(f"outer_add requires identical shapes, got {list(s.shape)} vs {list(r.shape)}")
-
-    def back(g):
-        return np.ascontiguousarray(g.sum(axis=-1)), np.ascontiguousarray(g.sum(axis=-2))
-
-    return _emit("outer_add", (s, r), s.data[..., :, None] + r.data[..., None, :], back)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ from skelgru.graph import (
     write_topology_file,
 )
 from skelgru.cells import RNNCellParams, dense_forward
-from skelgru.tensor import ShapeError, Tensor
+from skelgru.tensor import ShapeError, Tape, Tensor, first_invalid_record
 
 RNG = np.random.default_rng(20240812)
 
@@ -314,6 +314,8 @@ def test_gat_params_shape_validation():
         GATLayerParams(heads=2, w=[rand((3, 2))], a=[rand((4,)), rand((4,))])
     with pytest.raises(ShapeError):
         GATLayerParams(heads=1, w=[rand((3, 2))], a=[rand((3,))])
+    with pytest.raises(ShapeError, match="head 0"):
+        GATLayerParams(heads=2, w=[rand((3, 2)), rand((3, 3))], a=[rand((4,)), rand((6,))])
 
 
 def test_gat_on_stacked_frames_equals_per_frame():
@@ -324,6 +326,81 @@ def test_gat_on_stacked_frames_equals_per_frame():
     for t in range(5):
         single = gat_forward(params, Tensor(frames.data[t]), topo, act="elu").data
         assert np.allclose(batched[t], single, atol=1e-14)
+
+
+def test_neighbor_slots_pad_to_largest_closed_degree():
+    nbr, pad = SkeletonTopology(4, ((0, 1), (0, 2))).neighbor_slots
+    assert nbr.tolist() == [[0, 1, 2], [1, 0, 1], [2, 0, 2], [3, 3, 3]]
+    assert pad.tolist() == [[False] * 3, [False, False, True], [False, False, True], [False, True, True]]
+    assert chain_topology(9).neighbor_slots[0].shape == (9, 3)
+    assert default_17_topology().neighbor_slots[0].shape == (17, 5)
+
+
+def _random_edges(rng, n):
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4)
+
+
+@given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_gat_stacked_frames_on_random_topologies_match_oracle(n, heads, seed):
+    rng = np.random.default_rng(seed)
+    topo = SkeletonTopology(n, _random_edges(rng, n))  # may leave nodes isolated
+    params = GATLayerParams(
+        heads=heads,
+        w=[Tensor(rng.normal(0, 1, (3, 2))) for _ in range(heads)],
+        a=[Tensor(rng.normal(0, 1, (4,))) for _ in range(heads)],
+    )
+    h = rng.normal(0, 1, (2, 3, n, 3))
+    got = gat_forward(params, Tensor(h), topo, act="elu").data
+    alpha0 = gat_coefficients(params, 0, Tensor(h), topo).data
+    assert got.shape == (2, 3, n, 2 * heads) and alpha0.shape == (2, 3, n, n)
+    for b in range(2):
+        for t in range(3):
+            refs = [oracles.gat_head_ref(w.data, a.data, h[b, t], n, topo.edges)
+                    for w, a in zip(params.w, params.a)]
+            want = np.vectorize(lambda v: oracles.act_s("elu", v))(
+                np.concatenate([out for _, out in refs], axis=1))
+            assert np.abs(got[b, t] - want).max() <= 1e-12
+            assert np.abs(alpha0[b, t] - refs[0][0]).max() <= 1e-12
+
+
+def test_gat_layer_is_one_record():
+    params = random_gat_params(3, 2, heads=2, grad=True)
+    with Tape() as tape:
+        gat_forward(params, rand((2, 3, 4, 3)), chain_topology(4))
+        gat_forward(params, rand((4, 3)), chain_topology(4))
+    assert [rec.op for rec in tape.records] == ["gat_layer", "gat_layer"]
+
+
+def test_gat_layer_without_tape_records_nothing_and_keeps_bits():
+    topo = SkeletonTopology(5, ((0, 1), (0, 2), (0, 3)))
+    params = random_gat_params(3, 2, heads=2, grad=True)
+    h = rand((2, 3, 5, 3), grad=True)
+    with Tape():
+        taped = gat_forward(params, h, topo)
+    untaped = gat_forward(params, h, topo)
+    with Tape() as tape:
+        untracked = gat_forward(random_gat_params(3, 2, heads=2), rand((2, 3, 5, 3)), topo)
+    assert taped.requires_grad and not untaped.requires_grad
+    assert len(tape) == 0 and not untracked.requires_grad
+    assert np.array_equal(taped.data, untaped.data)
+
+
+def test_gat_layer_nan_names_fused_record():
+    params = random_gat_params(3, 2, heads=2, grad=True)
+    h = rand((2, 4, 3))
+    h.data[1, 2, 0] = np.nan
+    with Tape() as tape:
+        out = gat_forward(params, h, chain_topology(4))
+    assert first_invalid_record(tape) == f"gat_layer#{out.tid}"
+
+
+def test_gat_rejects_input_that_does_not_match_topology_or_projection():
+    params = random_gat_params(3, 2)
+    with pytest.raises(ShapeError):
+        gat_forward(params, rand((5, 3)), chain_topology(4))
+    with pytest.raises(ShapeError):
+        gat_forward(params, rand((4, 2)), chain_topology(4))
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +469,21 @@ def test_gat_gradients_pass_finite_differences():
     assert finite_diff_check(f, h) <= 1e-6
     assert finite_diff_check(f, params.w[0]) <= 1e-6
     assert finite_diff_check(f, params.a[1]) <= 1e-6
+
+
+def test_gat_gradients_at_model_scale_pass_finite_differences():
+    """upper17 with 8 heads: every input of the fused record is checked."""
+    from skelgru.gradcheck import finite_diff_check
+
+    rng = np.random.default_rng(1710)
+    topo = default_17_topology()
+    params = GATLayerParams(
+        heads=8,
+        w=[Tensor(rng.normal(0, 0.5, (8, 2)), requires_grad=True) for _ in range(8)],
+        a=[Tensor(rng.normal(0, 1, (4,)), requires_grad=True) for _ in range(8)],
+    )
+    h = Tensor(rng.normal(0, 1, (2, 17, 8)), requires_grad=True)
+    weights = Tensor(rng.normal(0, 1, (2, 17, 16)))
+    f = lambda: ops.sum_all(ops.mul(gat_forward(params, h, topo, act="elu"), weights))  # noqa: E731
+    for leaf in (h, *params.w, *params.a):
+        assert finite_diff_check(f, leaf) <= 1e-6

@@ -525,12 +525,13 @@ def test_end_to_end_gradient_single_param_spot_check():
 
 
 def test_desk_forward_record_count():
-    """The desk model's inference-mode forward pass is 279 tape records,
-    four of them the fused GRU; a per-op GRU adds about 670 per stage."""
+    """The desk model's inference-mode forward pass is 51 tape records:
+    four fused GRU records and four fused GAT layers. A per-op GRU adds
+    about 670 records per stage, and a per-op GAT layer about 57."""
     cfg = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.cfg")
     config = model_config_from(cfg, 9)
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
-    assert (len(ops_), ops_.count("gru_sequence")) == (279, 4)
+    assert (len(ops_), ops_.count("gru_sequence"), ops_.count("gat_layer")) == (51, 4, 4)

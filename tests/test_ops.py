@@ -51,15 +51,6 @@ def test_add_bias_broadcasts_over_leading_axes():
         ops.add_bias(x, rand((3,)))
 
 
-def test_outer_add_pairwise():
-    s, r = rand((2, 3)), rand((2, 3))
-    out = ops.outer_add(s, r)
-    for b in range(2):
-        for v in range(3):
-            for u in range(3):
-                assert out.data[b, v, u] == s.data[b, v] + r.data[b, u]
-
-
 def test_activation_values():
     x = Tensor([-2.0, -0.5, 0.0, 0.5, 2.0])
     for tag in ("identity", "sigmoid", "tanh", "relu", "elu", "leaky_relu"):
@@ -194,12 +185,9 @@ def test_grad_concat_stack():
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.stack((a, b), axis=0))), b)
 
 
-def test_grad_add_bias_outer_add():
+def test_grad_add_bias():
     x, b = rand((3, 4)), rand((4,))
     check_grad(lambda: ops.sum_all(ops.elementwise("sigmoid", ops.add_bias(x, b))), b)
-    s, r = rand((2, 3)), rand((2, 3))
-    check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.outer_add(s, r))), s)
-    check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.outer_add(s, r))), r)
 
 
 def test_grad_softmax_with_mask():
