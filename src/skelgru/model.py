@@ -343,10 +343,7 @@ def predict(logits: Tensor) -> tuple[np.ndarray, np.ndarray]:
     if data.ndim != 2:
         raise ShapeError(f"predict expects [B, C] logits, got {list(data.shape)}")
     idx = data.argmax(axis=1)  # argmax returns the first (lowest) max index
-    m = data.max(axis=1, keepdims=True)
-    e = np.exp(data - m)
-    probs = e[np.arange(len(idx)), idx] / e.sum(axis=1)
-    return idx, probs
+    return idx, ops.softmax_rows(logits).data[np.arange(len(idx)), idx]
 
 
 def tiny_reference_config() -> ModelConfig:

@@ -8,6 +8,11 @@ RNN and LSTM cells) get backpropagation through time from the tape. Two
 layers instead record one op each with a hand-written backward: a whole
 GRU sequence (:func:`skelgru.cells.gru_sequence`) and a whole multi-head
 GAT layer (:func:`skelgru.graph.gat_forward`).
+
+:func:`backward` consumes the tape as it sweeps it: each record is freed,
+with its closure and its output's gradient, once it has run, so a step's
+memory shrinks through backward instead of doubling, and only the leaves
+keep a gradient afterwards.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ class Tensor:
     """A dense n-dimensional array of 64-bit floats, row-major.
 
     ``data`` is always a C-contiguous float64 ndarray. ``grad`` starts as
-    None and is populated (same shape as ``data``) by :func:`backward`.
-    Outputs of recorded ops are treated as immutable; parameters (leaves)
-    may be rewritten in place between training steps.
+    None; :func:`backward` sets it (same shape as ``data``, possibly a
+    read-only or shared view, so never write into it) on tracked leaves
+    only and leaves it None on intermediate outputs. Outputs of recorded
+    ops are treated as immutable; parameters (leaves) may be rewritten in
+    place between training steps.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tid")
@@ -100,7 +107,10 @@ class Record:
 
     ``backward_fn`` maps the output gradient to one gradient per input
     (None for inputs that need none); saved intermediates live in its
-    closure.
+    closure. :func:`backward` calls it at most once and adopts the arrays
+    it returns without a copy, so they may be views of the incoming
+    gradient or of each other. It must therefore never write into its
+    incoming gradient, nor into an array it has returned.
     """
 
     __slots__ = ("op", "inputs", "output", "backward_fn")
@@ -167,34 +177,54 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate ``grad`` on every tracked tensor reachable from ``loss``.
+    """Populate ``grad`` on every tracked leaf reachable from ``loss``,
+    consuming the tape.
 
-    The loss must be a scalar produced on (or fed by) this tape. Tracked
-    leaves that never influence the loss end up with an all-zero gradient.
+    The loss must be a scalar produced on (or fed by) this tape. Records
+    are popped in reverse and so freed, closure included, once they have
+    run; a record whose output gradient never arrived is skipped. Each
+    output's gradient is dropped once its record has used it, so the tape
+    is empty afterwards and intermediate tensors end with ``grad`` None.
+    The first gradient a tensor receives is adopted without a copy; later
+    ones are added out of place, in sweep order. Tracked leaves (inputs no
+    record on the tape produced) that never influence the loss end up
+    with an all-zero gradient.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {list(loss.shape)}")
     if not loss.requires_grad:
         raise TapeError("loss does not depend on any tracked tensor")
+    records = tape.records
+    if not records:
+        raise TapeError("tape holds no records (was it already consumed by backward?)")
 
-    for rec in tape.records:
-        rec.output.grad = np.zeros_like(rec.output.data)
+    leaves = {}
+    for rec in records:
         for t in rec.inputs:
             if t.requires_grad:
-                t.grad = np.zeros_like(t.data)
+                t.grad = None
+                if t.tid not in tape._output_ids:
+                    leaves[t.tid] = t
     loss.grad = np.ones_like(loss.data)
 
-    for rec in reversed(tape.records):
-        grads = rec.backward_fn(rec.output.grad)
-        for t, g in zip(rec.inputs, grads):
-            if g is None or not t.requires_grad:
-                continue
-            if g.shape != t.data.shape:
-                raise TapeError(
-                    f"gradient shape {list(g.shape)} != tensor shape "
-                    f"{list(t.data.shape)} in op '{rec.op}'"
-                )
-            t.grad += g
+    while records:
+        rec = records.pop()
+        out = rec.output
+        if out.grad is not None:
+            grads = rec.backward_fn(out.grad)
+            out.grad = None
+            for t, g in zip(rec.inputs, grads):
+                if g is None or not t.requires_grad:
+                    continue
+                if g.shape != t.data.shape:
+                    raise TapeError(
+                        f"gradient shape {list(g.shape)} != tensor shape "
+                        f"{list(t.data.shape)} in op '{rec.op}'"
+                    )
+                t.grad = g if t.grad is None else t.grad + g
+    for t in leaves.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
 
 
 def first_invalid_record(tape: Tape) -> str | None:

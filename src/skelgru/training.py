@@ -24,7 +24,7 @@ class OptimizerError(RuntimeError):
 
 
 class NumericsError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 # glibc mallopt parameter numbers
@@ -35,7 +35,7 @@ _M_MMAP_THRESHOLD = -3
 def retain_freed_memory() -> None:
     """Keep the memory a training step frees mapped for the next step.
 
-    Every step builds its tape afresh and frees it after AdamW. By default
+    Every step builds its tape afresh and backward frees it. By default
     glibc returns the free top of the heap to the kernel and serves large
     arrays from mappings of their own, so the next step faults those pages
     in again: 85k-175k minor faults per two-epoch desk call, their number
@@ -102,12 +102,13 @@ def adamw_step(
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p); the
     decay term never passes through the adaptive scaling. Gradients come
-    from each tensor's .grad unless an explicit dict is supplied.
+    from each tensor's .grad unless an explicit dict is supplied. Every
+    gradient is checked before anything is updated: a missing, misshapen
+    or unregistered one raises OptimizerError and a non-finite one
+    NumericsError, naming the first such parameter in sorted-name order;
+    either leaves the parameters, the moments and the step count untouched.
     """
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    checked = []
     for name, tensor in sorted(named):
         g = grads.get(name) if grads is not None else tensor.grad
         if g is None:
@@ -118,6 +119,16 @@ def adamw_step(
             )
         if name not in state.m:
             raise OptimizerError(f"parameter {name!r} not registered in optimizer state")
+        if not np.isfinite(g).all():
+            raise NumericsError(
+                f"non-finite gradient for parameter {name!r} at optimizer step {state.step + 1}"
+            )
+        checked.append((name, tensor, g))
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, tensor, g in checked:
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
@@ -307,7 +318,8 @@ def train(
     Writes one structured log record per epoch (epoch, train_loss,
     val_loss, val_acc, wall_seconds) to out_dir/train_log.jsonl and keeps
     the best-validation-accuracy parameters in out_dir/best.ckpt. A
-    non-finite loss aborts with the first offending tensor named.
+    non-finite loss aborts with the first offending tensor named, and a
+    non-finite gradient with its parameter named (by adamw_step).
     """
     if len(train_split) == 0 or len(val_split) == 0:
         raise ValueError("train and validation splits must be non-empty")

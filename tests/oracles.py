@@ -197,3 +197,22 @@ def precision_recall_f1_ref(true, pred, n_classes):
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
         rows.append((prec, rec, f1))
     return rows
+
+
+def backward_zero_fill_ref(tape, loss):
+    """The eager reverse sweep that the consuming ``tensor.backward``
+    replaced: zero-fill a gradient buffer for every record output and
+    tracked input, then run every record and add each gradient in place.
+    It leaves the tape and every intermediate gradient in place."""
+    for rec in tape.records:
+        rec.output.grad = np.zeros_like(rec.output.data)
+        for t in rec.inputs:
+            if t.requires_grad:
+                t.grad = np.zeros_like(t.data)
+    loss.grad = np.ones_like(loss.data)
+    for rec in reversed(tape.records):
+        grads = rec.backward_fn(rec.output.grad)
+        for t, g in zip(rec.inputs, grads):
+            if g is not None and t.requires_grad:
+                assert g.shape == t.data.shape, rec.op
+                t.grad += g

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import skelgru
+from skelgru import training
 
 from skelgru.checkpoint import save_checkpoint
 from skelgru.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, main
@@ -149,6 +150,24 @@ class TestTrain:
         resumed = tiny_overrides(tmp_path, **{"train.init_checkpoint": str(hot)})
         assert run("train", *resumed) == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
+
+
+    def test_non_finite_gradient_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        args = tiny_overrides(tmp_path)
+        assert run("synth", *args) == EXIT_OK
+        real_backward = training.backward
+
+        def poisoned_backward(tape, loss):  # every gradient NaN, the loss finite
+            tracked = [t for rec in tape.records for t in rec.inputs if t.requires_grad]
+            real_backward(tape, loss)
+            for t in tracked:
+                if t.grad is not None:
+                    t.grad = np.full(t.shape, np.nan)
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        assert run("train", *args) == EXIT_NUMERIC
+        assert "non-finite gradient for parameter" in capsys.readouterr().err
+        assert not (tmp_path / "run/best.ckpt").exists()
 
 
 class TestEval:

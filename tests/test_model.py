@@ -1,6 +1,7 @@
 """End-to-end architecture: embedding, stages, pooling, head, loss."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from skelgru.model import (
     temporal_attention_weights,
     tiny_reference_config,
 )
-from skelgru.tensor import MaskError, ShapeError, Tape, Tensor, backward
+from skelgru.tensor import MaskError, ShapeError, Tape, TapeError, Tensor, backward
 
 RNG = np.random.default_rng(20240814)
 
@@ -488,6 +489,17 @@ def test_predict_closed_form():
     assert np.isclose(prob[0], e[1] / e.sum(), atol=1e-12)
 
 
+def test_predict_probability_bits_unchanged():
+    """predict reads its probability from ops.softmax_rows; pinned to the
+    bits of the max-shifted formula it used to compute on its own."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        data = rng.normal(0.0, 4.0, (7, 5))
+        idx, prob = predict(Tensor(data))
+        e = np.exp(data - data.max(axis=1, keepdims=True))
+        assert np.array_equal(prob, e[np.arange(7), idx] / e.sum(axis=1))
+
+
 def test_predict_shift_invariant():
     logits = rand((4, 6))
     idx1, p1 = predict(logits)
@@ -524,14 +536,63 @@ def test_end_to_end_gradient_single_param_spot_check():
     assert finite_diff_check(f, params.attn_w) <= 1e-4
 
 
+def _desk_config():
+    cfg = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.cfg")
+    return model_config_from(cfg, 9)
+
+
+def _desk_training_tape(config, params, batch):
+    with Tape() as tape:
+        logits = model_forward(params, config, batch, chain_topology(9), training=True,
+                               rng=np.random.default_rng(11))
+        loss = ops.cross_entropy(logits, batch.labels)
+    return tape, loss
+
+
 def test_desk_forward_record_count():
     """The desk model's inference-mode forward pass is 51 tape records:
     four fused GRU records and four fused GAT layers. A per-op GRU adds
     about 670 records per stage, and a per-op GAT layer about 57."""
-    cfg = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.cfg")
-    config = model_config_from(cfg, 9)
+    config = _desk_config()
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
     assert (len(ops_), ops_.count("gru_sequence"), ops_.count("gat_layer")) == (51, 4, 4)
+
+
+def test_desk_step_gradients_bitwise_match_zero_fill_reference():
+    config = _desk_config()
+    params = init_model_params(config, seed=0)
+    batch = random_batch(config, b=2, seed=3)
+    named = named_parameters(params)
+    grads = []
+    for sweep in (oracles.backward_zero_fill_ref, backward):
+        sweep(*_desk_training_tape(config, params, batch))
+        grads.append({name: t.grad.copy() for name, t in named})
+    want, got = grads
+    assert [k for k in want if not np.array_equal(want[k], got[k])] == []
+
+
+def test_desk_step_backward_adds_little_memory():
+    """backward frees each record once it has run, so on top of the
+    forward's tape it holds little more than the gradients in flight (the
+    zero-fill sweep it replaced added 83% of the forward here)."""
+    config = _desk_config()
+    params = init_model_params(config, seed=0)
+    batch = random_batch(config, b=8, seed=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape, loss = _desk_training_tape(config, params, batch)
+        forward = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        backward(tape, loss)
+        added = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert added < 0.25 * forward, f"backward added {added} bytes over a {forward}-byte forward"
+    assert len(tape) == 0
+    with pytest.raises(TapeError):
+        backward(tape, loss)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from skelgru import ops
+from skelgru.cells import GRUCellParams, gru_sequence
+from skelgru.graph import GATLayerParams, chain_topology, gat_forward
 from skelgru.tensor import (
     MaskError,
     ShapeError,
@@ -95,8 +98,91 @@ def test_unused_leaf_gets_zero_grad():
         probe = ops.scale(unused, 1.0)
         loss = ops.sum_all(ops.mul(x, x))
     backward(tape, loss)
-    assert probe.grad is not None
+    assert probe.grad is None  # intermediate gradients are released
     assert np.allclose(unused.grad, [0.0])
+
+
+def test_backward_consumes_the_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = ops.mul(x, x)
+        loss = ops.sum_all(y)
+    backward(tape, loss)
+    assert len(tape) == 0
+    assert y.grad is None and loss.grad is None
+    with pytest.raises(TapeError, match="no records"):
+        backward(tape, loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_skips_records_the_loss_never_reached():
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        ops.scale(x, 3.0)
+        loss = ops.sum_all(ops.scale(ops.scale(x, 2.0), 5.0))
+        calls = []
+        tape.records[0].backward_fn = lambda g: calls.append(g) or (g,)
+    backward(tape, loss)
+    assert calls == []
+    assert np.array_equal(x.grad, [10.0])
+
+
+def _leaf_grads_two_ways(leaves, f):
+    """Leaf gradients of the scalar f() from the reference zero-fill sweep
+    and from backward(), each on a freshly recorded tape."""
+    with Tape() as tape:
+        loss = f()
+    oracles.backward_zero_fill_ref(tape, loss)
+    want = [t.grad.copy() for t in leaves]
+    with Tape() as tape:
+        loss = f()
+    backward(tape, loss)
+    return want, [t.grad for t in leaves]
+
+
+def test_backward_bitwise_matches_zero_fill_on_fan_out():
+    """Adopted first gradients are shared: add hands one array to both
+    operands. Were a later gradient added in place, or a backward to write
+    into its incoming gradient, the sibling's gradient would change. Here
+    x and u each feed add(t, t), a fused GRU, a fused GAT layer and more;
+    every leaf gradient must equal the zero-fill sweep's bit for bit."""
+    rng = np.random.default_rng(5)
+    t_len, n, h, heads = 5, 4, 4, 2
+
+    def p(*shape):
+        return Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
+
+    x, h0, unused = p(t_len, n, h), p(n, h), p(3)
+    gru = GRUCellParams(w_z=p(h, 2 * h), b_z=p(h), w_r=p(h, 2 * h), b_r=p(h),
+                        w_h=p(h, 2 * h), b_h=p(h))
+    gat = GATLayerParams(heads, [p(h, h // heads) for _ in range(heads)],
+                         [p(2 * h // heads) for _ in range(heads)])
+    topo = chain_topology(n)
+
+    def f():
+        u = ops.scale(x, 0.7)
+        seq, att = gru_sequence(gru, u, h0), gat_forward(gat, u, topo)
+        side = ops.mul(seq, att)  # swept after `both`, which seq and att share
+        both = ops.add(seq, att)
+        terms = [
+            side,
+            ops.mul(both, ops.add(u, u)),
+            ops.elementwise("tanh", both),
+            ops.mul(gru_sequence(gru, x, h0), gat_forward(gat, x, topo)),
+            ops.mul(ops.add(x, x), u),
+        ]
+        ops.scale(unused, 2.0)  # recorded, but never reaches the loss
+        total = terms[0]
+        for term in terms[1:]:
+            total = ops.add(total, term)
+        return ops.sum_all(total)
+
+    leaves = [x, h0, gru.w_z, gru.b_z, gru.w_r, gru.b_r, gru.w_h, gru.b_h,
+              *gat.w, *gat.a, unused]
+    want, got = _leaf_grads_two_ways(leaves, f)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+    assert not unused.grad.any()
 
 
 def test_first_invalid_record_names_nan_source():

@@ -120,6 +120,20 @@ class TestAdamW:
         with pytest.raises(OptimizerError, match="shape"):
             adamw_step(state, named, grads={"p": np.zeros(3)})
 
+    def test_non_finite_gradient_touches_nothing(self):
+        named = [("c", tensor_param([1.0, 2.0])), ("b", tensor_param([3.0])),
+                 ("a", tensor_param([-1.0]))]
+        state = init_adamw(named, lr=1e-3, weight_decay=1e-4)
+        adamw_step(state, named, grads={"a": np.ones(1), "b": np.ones(1), "c": np.ones(2)})
+        before = [(t.data.copy(), state.m[k].copy(), state.v[k].copy()) for k, t in named]
+        bad = {"a": np.ones(1), "b": np.array([np.inf]), "c": np.array([0.0, np.nan])}
+        with pytest.raises(NumericsError, match="'b'"):  # first in sorted-name order
+            adamw_step(state, named, grads=bad)
+        assert state.step == 1
+        for (k, t), (p, m, v) in zip(named, before):
+            assert np.array_equal(t.data, p)
+            assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+
     def test_unregistered_parameter(self):
         p = tensor_param([1.0])
         state = init_adamw([], lr=1e-3)
