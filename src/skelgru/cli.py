@@ -216,11 +216,11 @@ def _primitive_checks(seed: int) -> list[tuple[str, float]]:
         lambda: ops.sum_all(ops.mul(ops.softmax_rows(ops.add(logits, mask_t)), weights)),
         logits)))
 
-    ln_x, gain, ln_b = t(4, 6), t(6), t(6)
-    results.append(("layer_norm", finite_diff_check(
-        lambda: ops.sum_all(ops.layer_norm(ln_x, gain, ln_b, 1e-5)), ln_x)))
-    results.append(("layer_norm_gain", finite_diff_check(
-        lambda: ops.sum_all(ops.layer_norm(ln_x, gain, ln_b, 1e-5)), gain)))
+    rn_x, rn_block, gain, rn_b, rn_weights = t(4, 6), t(4, 6), t(6), t(6), t(4, 6)
+    for name, leaf in (("x", rn_x), ("block", rn_block), ("gain", gain)):
+        results.append((f"residual_norm_{name}", finite_diff_check(
+            lambda: ops.sum_all(ops.mul(ops.residual_norm(rn_block, rn_x, gain, rn_b, 1e-5),
+                                        rn_weights)), leaf)))
 
     ce_logits = t(5, 3)
     labels = rng.integers(0, 3, size=5)

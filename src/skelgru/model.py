@@ -1,12 +1,12 @@
 """The full classifier: embed, stacked residual graph-recurrent stages,
 temporal attention pooling, dense head.
 
-Data flows as [batch B, frames T, nodes N, features]. Each stage runs the
-spatial layer independently per (sample, frame) and then a shared-weight
-GRU along t independently per (sample, node); a residual sum and a layer
-norm over the feature axis close the stage. Pooling flattens each frame
-to one N*H vector, scores it with a shared linear map, and softmaxes the
-scores over real (unmasked) frames only.
+Batches are [batch B, frames T, nodes N, features]; the stream between
+embedding and pooling is time-major, [T, B, N, H]. Each stage runs the
+spatial layer per frame, then a shared-weight GRU along t per (sample,
+node), read through a reshape; a fused residual layer norm closes the
+stage. Pooling flattens each frame to one N*H vector, scores it with a
+shared linear map, and softmaxes the scores over real frames only.
 """
 
 from __future__ import annotations
@@ -210,8 +210,10 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 
 
 def embed_input(params: ModelParams, batch: SequenceBatch) -> Tensor:
-    """Shared per-node linear map d -> H, identical at every (sample, frame, node)."""
-    return ops.add_bias(ops.matmul(batch.features, params.embed_w), params.embed_b)
+    """Shared per-node linear map d -> H into the stream [T, B, N, H]; the
+    untracked features are transposed, so the bias sums a contiguous gradient."""
+    frames = ops.transpose(batch.features, (1, 0, 2, 3))
+    return ops.add_bias(ops.matmul(frames, params.embed_w), params.embed_b)
 
 
 def stage_forward(
@@ -226,16 +228,15 @@ def stage_forward(
     is an independent sequence of length T.
     """
     if h_in.ndim != 4:
-        raise ShapeError(f"stage input must be [B,T,N,H], got {list(h_in.shape)}")
-    b, t, n, h = h_in.shape
+        raise ShapeError(f"stage input must be [T,B,N,H], got {list(h_in.shape)}")
+    t, b, n, h = h_in.shape
     if isinstance(stage.gnn, Tensor):
         spatial = gcn_forward(adj, h_in, stage.gnn, act="relu")
     else:
         spatial = gat_forward(stage.gnn, h_in, topo, act="elu")
-    assert spatial.shape == (b, t, n, h)
-    by_time = ops.reshape(ops.transpose(spatial, (1, 0, 2, 3)), (t, b * n, h))
-    states = unroll("gru", stage.gru, by_time)
-    return ops.transpose(ops.reshape(states, (t, b, n, h)), (1, 0, 2, 3))
+    assert spatial.shape == h_in.shape
+    states = unroll("gru", stage.gru, ops.reshape(spatial, (t, b * n, h)))
+    return ops.reshape(states, h_in.shape)
 
 
 def residual_norm_stage(
@@ -247,41 +248,41 @@ def residual_norm_stage(
 ) -> Tensor:
     """Norm(block(x) + x), normalized over the feature axis per node per frame."""
     block = stage_forward(stage, h_in, adj, topo)
-    return ops.layer_norm(ops.add(block, h_in), stage.norm_gain, stage.norm_bias, eps)
+    return ops.residual_norm(block, h_in, stage.norm_gain, stage.norm_bias, eps)
 
 
-def _flatten_frames(h_final: Tensor) -> Tensor:
+def _frames_and_weights(
+    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
+) -> tuple[Tensor, Tensor]:
+    """Frames of ``h_final`` [B, T, N, H] flattened to [B, T, N*H], and their
+    attention weights [B, T]: softmax over unmasked frames only."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=1).all():
+        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+        raise MaskError(f"sample {bad} has no unmasked frames")
     b, t, n, h = h_final.shape
-    return ops.reshape(h_final, (b, t, n * h))
-
-
-def _frame_scores(attn_w: Tensor, attn_b: Tensor, flat: Tensor, mask: np.ndarray) -> Tensor:
-    b, t, width = flat.shape
-    if attn_w.shape != (width,):
-        raise ShapeError(f"attention weights {list(attn_w.shape)} do not match frame width {width}")
-    scores = ops.add_bias(ops.matmul(flat, ops.reshape(attn_w, (width, 1))), attn_b)
+    if attn_w.shape != (n * h,):
+        raise ShapeError(f"attention weights {list(attn_w.shape)} do not match frame width {n * h}")
+    flat = ops.reshape(h_final, (b, t, n * h))
+    scores = ops.add_bias(ops.matmul(flat, ops.reshape(attn_w, (n * h, 1))), attn_b)
     masked = ops.add(ops.reshape(scores, (b, t)), Tensor(np.where(mask, 0.0, -np.inf)))
-    return masked
+    return flat, ops.softmax_rows(masked)
 
 
 def temporal_attention_weights(
     attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
 ) -> Tensor:
     """Per-frame attention weights [B, T]: softmax over unmasked frames only."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise MaskError(f"sample {bad} has no unmasked frames")
-    return ops.softmax_rows(_frame_scores(attn_w, attn_b, _flatten_frames(h_final), mask))
+    return _frames_and_weights(attn_w, attn_b, h_final, mask)[1]
 
 
 def temporal_attention_pool(
-    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
+    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray, *, time_major: bool = False
 ) -> Tensor:
-    """Flatten each frame to N*H, score, softmax over real frames, then take
-    the weighted sum of frame vectors; masked frames get exactly zero weight."""
-    flat = _flatten_frames(h_final)
-    alpha = temporal_attention_weights(attn_w, attn_b, h_final, mask)
+    """Attention-weighted sum of the N*H-flattened frames of ``h_final``, [B, T, N, H]
+    or, with ``time_major``, [T, B, N, H]; masked frames get exactly zero weight."""
+    h_final = ops.transpose(h_final, (1, 0, 2, 3)) if time_major else h_final
+    flat, alpha = _frames_and_weights(attn_w, attn_b, h_final, mask)
     b, t, width = flat.shape
     pooled = ops.matmul(ops.reshape(alpha, (b, 1, t)), flat)
     return ops.reshape(pooled, (b, width))
@@ -325,11 +326,11 @@ def model_forward(
         raise ShapeError(f"topology has {topo.n_nodes} nodes, config expects {config.n_nodes}")
     adj = build_normalized_adjacency(topo)
     h = embed_input(params, batch)
-    assert h.shape == (b, t, n, config.hidden)
+    assert h.shape == (t, b, n, config.hidden)
     for stage in params.stages:
         h = residual_norm_stage(stage, h, adj, topo, config.norm_epsilon)
-        assert h.shape == (b, t, n, config.hidden)
-    pooled = temporal_attention_pool(params.attn_w, params.attn_b, h, batch.mask)
+        assert h.shape == (t, b, n, config.hidden)
+    pooled = temporal_attention_pool(params.attn_w, params.attn_b, h, batch.mask, time_major=True)
     assert pooled.shape == (b, config.flat_width)
     logits = classify(params, pooled, training, rng, config.dropout_rate)
     assert logits.shape == (b, config.classes)

@@ -252,33 +252,32 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit("softmax_rows", (x,), y, back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Standardize over the last axis, then apply learned gain and bias."""
+def residual_norm(block: Tensor, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """LN(block + x) over the last axis, then gain and bias, as one record that
+    saves only x-hat and 1/sigma (Ba et al. 2016, arXiv 1607.06450); its
+    backward returns one gradient for both ``block`` and ``x``."""
     h = x.shape[-1]
-    if gain.shape != (h,) or bias.shape != (h,):
-        raise ShapeError(
-            f"layer_norm gain/bias {list(gain.shape)}/{list(bias.shape)} "
-            f"do not match feature width {h}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    gd = gain.data
-    lead = tuple(range(x.ndim - 1))
+    if block.shape != x.shape or gain.shape != (h,) or bias.shape != (h,):
+        raise ShapeError(f"residual_norm: block {list(block.shape)}, input {list(x.shape)}, "
+                         f"gain {list(gain.shape)} and bias {list(bias.shape)} do not agree")
+    xhat = block.data + x.data  # centred and scaled in place
+    rows = xhat.reshape(-1, h)
+    mean_w = np.full(h, 1.0 / h)
+    rows -= (rows @ mean_w)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows) / h + eps)[:, None]
+    rows *= inv
+    taped = active_tape() is not None and any(t.requires_grad for t in (block, x, gain, bias))
+    y = np.multiply(xhat, gain.data, out=None if taped else xhat)  # untaped: in place, same bits
+    y += bias.data
 
     def back(g):
-        dxhat = g * gd
-        dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        dbias = g.sum(axis=lead) if lead else g.copy()
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, np.ascontiguousarray(dgain), np.ascontiguousarray(dbias)
+        g = g.reshape(-1, h)  # a row-major copy when g is a transposed view
+        dx = g * gain.data  # the gradient of x-hat
+        dx -= rows * (np.einsum("ij,ij->i", dx, rows) / h)[:, None] + (dx @ mean_w)[:, None]
+        dx *= inv
+        return dx.reshape(xhat.shape), dx.reshape(xhat.shape), np.einsum("ij,ij->j", g, rows), g.sum(axis=0)
 
-    return _emit("layer_norm", (x, gain, bias), xhat * gd + bias.data, back)
+    return _emit("residual_norm", (block, x, gain, bias), y, back)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -123,7 +123,7 @@ def test_embed_zero_params_zero_output():
     params.embed_w.data[:] = 0.0
     params.embed_b.data[:] = 0.0
     batch = random_batch(config)
-    assert np.array_equal(embed_input(params, batch).data, np.zeros((2, 2, 2, 3)))
+    assert np.array_equal(embed_input(params, batch).data.transpose(1, 0, 2, 3), np.zeros((2, 2, 2, 3)))
 
 
 def test_embed_identity_passes_coordinates():
@@ -133,7 +133,7 @@ def test_embed_identity_passes_coordinates():
     params.embed_w.data[:] = np.eye(2)
     params.embed_b.data[:] = 0.0
     batch = random_batch(config)
-    assert np.allclose(embed_input(params, batch).data, batch.features.data)
+    assert np.allclose(embed_input(params, batch).data.transpose(1, 0, 2, 3), batch.features.data)
 
 
 def test_embed_matches_per_node_loop():
@@ -141,7 +141,7 @@ def test_embed_matches_per_node_loop():
                          input_dim=3, classes=2)
     params = init_model_params(config, seed=3)
     batch = random_batch(config, b=2, seed=5)
-    got = embed_input(params, batch).data
+    got = embed_input(params, batch).data.transpose(1, 0, 2, 3)
     for bi in range(2):
         for t in range(3):
             for v in range(4):
@@ -157,8 +157,8 @@ def test_stage_forward_zero_gru_gives_zeros():
     adj = build_normalized_adjacency(topo)
     stage = zero_stage(4)
     stage.gnn.data[:] = RNG.normal(0, 1, (4, 4))
-    out = stage_forward(stage, rand((2, 5, 3, 4)), adj, topo)
-    assert np.array_equal(out.data, np.zeros((2, 5, 3, 4)))
+    out = stage_forward(stage, rand((5, 2, 3, 4)), adj, topo)
+    assert np.array_equal(out.data, np.zeros((5, 2, 3, 4)))
 
 
 def test_stage_forward_single_step_closed_form():
@@ -198,26 +198,26 @@ def test_stage_forward_gru_runs_along_time_per_node():
     )
     stage.gru.w_h.data[:] = RNG.normal(0, 1, (3, 6))
     stage.gru.w_z.data[:] = RNG.normal(0, 1, (3, 6))
-    base_in = rand((1, 4, 2, 3))
+    base_in = rand((4, 1, 2, 3))
     base = stage_forward(stage, base_in, adj, topo).data
     bumped = Tensor(base_in.data.copy())
-    bumped.data[0, :, 1, :] += 3.0
+    bumped.data[:, 0, 1, :] += 3.0
     out = stage_forward(stage, bumped, adj, topo).data
-    assert np.allclose(out[0, :, 0], base[0, :, 0], atol=1e-14)
-    assert not np.allclose(out[0, :, 1], base[0, :, 1])
+    assert np.allclose(out[:, 0, 0], base[:, 0, 0], atol=1e-14)
+    assert not np.allclose(out[:, 0, 1], base[:, 0, 1])
 
 
 def test_residual_norm_zero_block_is_layer_norm_of_input():
     topo = chain_topology(3)
     adj = build_normalized_adjacency(topo)
     stage = zero_stage(4)
-    h_in = rand((2, 3, 3, 4))
+    h_in = rand((3, 2, 3, 4))
     out = residual_norm_stage(stage, h_in, adj, topo, eps=1e-5).data
     for bi in range(2):
         for t in range(3):
             for v in range(3):
-                want = oracles.layer_norm_ref(h_in.data[bi, t, v], np.ones(4), np.zeros(4), 1e-5)
-                assert np.allclose(out[bi, t, v], want, atol=1e-12)
+                want = oracles.layer_norm_ref(h_in.data[t, bi, v], np.ones(4), np.zeros(4), 1e-5)
+                assert np.allclose(out[t, bi, v], want, atol=1e-12)
 
 
 def test_residual_norm_constant_feature_zero_block_gives_bias():
@@ -225,7 +225,7 @@ def test_residual_norm_constant_feature_zero_block_gives_bias():
     adj = build_normalized_adjacency(topo)
     stage = zero_stage(4)
     stage.norm_bias.data[:] = [1.0, -2.0, 0.5, 3.0]
-    h_in = Tensor(np.full((1, 2, 2, 4), 7.3))
+    h_in = Tensor(np.full((2, 1, 2, 4), 7.3))
     out = residual_norm_stage(stage, h_in, adj, topo, eps=1e-5).data
     assert np.allclose(out, np.broadcast_to(stage.norm_bias.data, out.shape), atol=1e-12)
 
@@ -234,10 +234,10 @@ def test_residual_path_carries_gradient_with_zero_block():
     topo = chain_topology(2)
     adj = build_normalized_adjacency(topo)
     stage = zero_stage(3)
-    h_in = rand((1, 2, 2, 3), grad=True)
+    h_in = rand((2, 1, 2, 3), grad=True)
     with Tape() as tape:
         loss = ops.sum_all(ops.mul(residual_norm_stage(stage, h_in, adj, topo, 1e-5),
-                                   rand((1, 2, 2, 3))))
+                                   rand((2, 1, 2, 3))))
     backward(tape, loss)
     assert np.abs(h_in.grad).max() > 0.0
 
@@ -550,15 +550,20 @@ def _desk_training_tape(config, params, batch):
 
 
 def test_desk_forward_record_count():
-    """The desk model's inference-mode forward pass is 51 tape records:
-    four fused GRU records and four fused GAT layers. A per-op GRU adds
-    about 670 records per stage, and a per-op GAT layer about 57."""
+    """The desk model's inference-mode forward pass is 39 tape records:
+    four fused GRU records, four fused GAT layers, four fused residual
+    norms, and the pooling's one transpose of the time-major stream. A
+    per-op GRU adds about 670 records per stage and a per-op GAT layer
+    about 57; a batch-major stream with a separate add and layer norm
+    adds 3 per stage."""
     config = _desk_config()
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
-    assert (len(ops_), ops_.count("gru_sequence"), ops_.count("gat_layer")) == (51, 4, 4)
+    counts = tuple(ops_.count(op) for op in
+                   ("gru_sequence", "gat_layer", "residual_norm", "layer_norm", "transpose"))
+    assert (len(ops_), *counts) == (39, 4, 4, 4, 0, 1)
 
 
 def test_desk_step_gradients_bitwise_match_zero_fill_reference():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from skelgru import ops
 from skelgru.gradcheck import finite_diff_check
-from skelgru.tensor import MaskError, ShapeError, Tape, Tensor, backward
+from skelgru.tensor import MaskError, ShapeError, Tape, Tensor, backward, first_invalid_record
 
 RNG = np.random.default_rng(20240811)
 
@@ -93,11 +93,42 @@ def test_softmax_requires_2d():
         ops.softmax_rows(Tensor([1.0, 2.0]))
 
 
-def test_layer_norm_matches_oracle():
-    x, g, b = rand((5, 7)), rand((7,)), rand((7,))
-    out = ops.layer_norm(x, g, b, eps=1e-5)
-    for i in range(5):
-        assert np.allclose(out.data[i], oracles.layer_norm_ref(x.data[i], g.data, b.data, 1e-5))
+def test_residual_norm_matches_oracle():
+    block, x, g, b = rand((2, 5, 7)), rand((2, 5, 7), scale=3.0), rand((7,)), rand((7,))
+    out = ops.residual_norm(block, x, g, b, eps=1e-5).data.reshape(-1, 7)
+    for i, row in enumerate((block.data + x.data).reshape(-1, 7)):
+        want = oracles.layer_norm_ref(row, g.data, b.data, 1e-5)
+        assert np.abs(out[i] - want).max() <= 1e-12
+
+
+def test_residual_norm_rejects_bad_shapes():
+    g, b = rand((7,)), rand((7,))
+    for args in ((rand((3, 7)), rand((4, 7)), g, b), (rand((3, 7)), rand((3, 7)), rand((6,)), b),
+                 (rand((3, 7)), rand((3, 7)), g, rand((7, 1)))):
+        with pytest.raises(ShapeError, match="residual_norm"):
+            ops.residual_norm(*args, eps=1e-5)
+
+
+def test_residual_norm_names_nan_input_record():
+    x = rand((3, 4))
+    x.data[1, 2] = np.nan
+    with Tape() as tape:
+        out = ops.residual_norm(rand((3, 4)), x, rand((4,)), rand((4,)), eps=1e-5)
+    assert first_invalid_record(tape) == f"residual_norm#{out.tid}"
+
+
+def test_residual_norm_without_tape_records_nothing_and_keeps_bits():
+    block, x, g, b = rand((4, 3, 6)), rand((4, 3, 6)), rand((6,)), rand((6,))
+    with Tape() as tape:
+        taped = ops.residual_norm(block, x, g, b, eps=1e-5)
+    assert [rec.op for rec in tape.records] == ["residual_norm"]
+    untaped = ops.residual_norm(block, x, g, b, eps=1e-5)
+    assert not untaped.requires_grad
+    assert np.array_equal(untaped.data, taped.data)
+    frozen = [Tensor(t.data) for t in (block, x, g, b)]
+    with Tape() as tape:
+        untracked = ops.residual_norm(*frozen, eps=1e-5)
+    assert len(tape) == 0 and np.array_equal(untracked.data, taped.data)
 
 
 def test_cross_entropy_matches_oracle():
@@ -203,15 +234,14 @@ def test_grad_softmax_with_mask():
     check_grad(f, x)
 
 
-def test_grad_layer_norm():
-    x, g, b = rand((4, 6)), rand((6,)), rand((6,))
+def test_grad_residual_norm():
+    block, x, g, b, w = rand((2, 4, 6)), rand((2, 4, 6)), rand((6,)), rand((6,)), rand((2, 4, 6))
 
     def f():
-        return ops.sum_all(ops.elementwise("tanh", ops.layer_norm(x, g, b, eps=1e-5)))
+        return ops.sum_all(ops.mul(ops.residual_norm(block, x, g, b, eps=1e-5), w))
 
-    check_grad(f, x)
-    check_grad(f, g)
-    check_grad(f, b)
+    for param in (block, x, g, b):
+        check_grad(f, param)
 
 
 def test_grad_cross_entropy():
