@@ -11,8 +11,8 @@ with z gating the candidate (some libraries swap the two terms).
 
 ``gru_sequence`` runs a whole GRU sequence as one tape record with a
 hand-written backward through time (Appleyard et al. 2016, arXiv
-1604.01946): the input halves of the three gate weights project every
-step in one batched matmul, the z and r recurrent halves share one
+1604.01946): the input halves of the three gate weights project each
+step's input in one matmul, the z and r recurrent halves share one
 matmul per step, and backward collects the gate pre-activation
 gradients of all steps so the input, input-weight and bias gradients
 each take one matmul or sum. ``gru_cell_step`` stays as the per-op
@@ -217,10 +217,11 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     """Run the GRU along axis 0 of ``inputs`` ([T, d] with h0 [h], or
     [T, R, d] with h0 [R, h]) and return the stacked states [T, (R,) h].
 
-    Records one tape op over (inputs, h0, w_z, b_z, w_r, b_r, w_h, b_h)
-    that saves only the z, r and candidate activations of each step.
-    With no tape, or nothing tracked, it keeps no per-step buffers and
-    projects each step's input as it goes.
+    Each step's input is projected inside the loop, taped or not. Records
+    one tape op over (inputs, h0, w_z, b_z, w_r, b_r, w_h, b_h) that saves
+    only the z, r and candidate activations of each step, written over
+    that step's projection; with no tape, or nothing tracked, it keeps no
+    per-step buffers.
     """
     if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
         raise ShapeError(f"gru_sequence expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
@@ -243,11 +244,11 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     taped = tape is not None and any(t.requires_grad for t in ins)
     # Taped, each step's projection is overwritten by its activations
     # [z; r; h~], so this one buffer is all the record saves.
-    gates = np.matmul(w_x, x_fm) if taped else None  # [T, 3h, R]
+    gates = np.empty((t_len, 3 * h, rows)) if taped else None
     states = np.empty((t_len, rows, h))
     h_prev = h_init
     for t in range(t_len):
-        g = gates[t] if taped else np.matmul(w_x, x_fm[t])
+        g = np.matmul(w_x, x_fm[t], out=gates[t] if taped else None)
         g += bias
         zr = g[:2 * h]
         zr += w_zr @ h_prev

@@ -142,6 +142,13 @@ class _Reader:
     def unpack(self, fmt: str) -> int:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
+    def text(self, fmt: str, what: str) -> str:
+        """A UTF-8 string whose byte length comes first, packed as ``fmt``."""
+        try:
+            return self.take(self.unpack(fmt)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8: {exc.reason}") from None
+
 
 def load_checkpoint(
     path,
@@ -167,7 +174,7 @@ def load_checkpoint(
     version = r.unpack("<H")
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, supported {VERSION}")
-    block = r.take(r.unpack("<I")).decode("utf-8")
+    block = r.text("<I", "config block")
     values = parse_fields(block, _CONFIG_KINDS, CheckpointError, f"{path} config block")
     missing = _CONFIG_KINDS.keys() - values.keys()
     if missing:
@@ -176,7 +183,7 @@ def load_checkpoint(
         config = ModelConfig(**values)
     except ValueError as exc:
         raise CheckpointError(f"{path}: config block: {exc}") from None
-    topo_hash = r.take(r.unpack("<I")).decode("utf-8")
+    topo_hash = r.text("<I", "topology hash")
 
     if expected_config is not None:
         if config.classes != expected_config.classes:
@@ -197,7 +204,7 @@ def load_checkpoint(
             f"{path}: checkpoint has {count} tensors, model expects {len(named)}"
         )
     for _ in range(count):
-        name = r.take(r.unpack("<H")).decode("utf-8")
+        name = r.text("<H", "tensor name")
         if name not in named:
             raise CheckpointError(f"{path}: unknown parameter {name!r}")
         ndim = r.unpack("<B")

@@ -252,22 +252,17 @@ def _primitive_checks(seed: int) -> list[tuple[str, float]]:
 
 def cmd_gradcheck(cfg: dict, args) -> int:
     seed = cfg["seed"]
-    failed = False
-
     prim = _primitive_checks(seed)
-    for name, err in prim:
-        ok = err <= PRIMITIVE_LIMIT
-        failed |= not ok
-        print(f"primitive {name:<16} {err:.3e} {'ok' if ok else 'FAIL'}")
-
     config = tiny_reference_config()
-    topo = chain_topology(config.n_nodes)
-    report = model_gradient_report(config, topo, seed=seed)
-    for name in sorted(report):
-        err = report[name]
-        ok = err <= PARAM_LIMIT
+    report = model_gradient_report(config, chain_topology(config.n_nodes), seed=seed)
+    rows = [(f"primitive {name}", err, PRIMITIVE_LIMIT) for name, err in prim]
+    rows += [(f"param {name}", report[name], PARAM_LIMIT) for name in sorted(report)]
+    width = max(len(label) for label, _, _ in rows)  # one error column for every line
+    failed = False
+    for label, err, limit in rows:
+        ok = err <= limit
         failed |= not ok
-        print(f"param {name:<20} {err:.3e} {'ok' if ok else 'FAIL'}")
+        print(f"{label:<{width}} {err:.3e} {'ok' if ok else 'FAIL'}")
 
     worst_prim = max(prim, key=lambda kv: kv[1])
     worst_param = max(report.items(), key=lambda kv: kv[1])

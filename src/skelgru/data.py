@@ -122,27 +122,30 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
     when the file may not mention every class.
     """
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid record: {exc}") from None
-            if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
-                raise DataFormatError(f"{path}:{lineno}: record needs id, label, frames")
-            try:
-                seq = KeypointSequence(str(rec["id"]), int(rec["label"]), rec["frames"])
-            except (DataFormatError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if seq.n_nodes != topo.n_nodes:
-                raise DataFormatError(
-                    f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "
-                    f"topology has {topo.n_nodes}"
-                )
-            samples.append(seq)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: invalid record: {exc}") from None
+                if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
+                    raise DataFormatError(f"{path}:{lineno}: record needs id, label, frames")
+                try:
+                    seq = KeypointSequence(str(rec["id"]), int(rec["label"]), rec["frames"])
+                except (DataFormatError, TypeError, ValueError) as exc:
+                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+                if seq.n_nodes != topo.n_nodes:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "
+                        f"topology has {topo.n_nodes}"
+                    )
+                samples.append(seq)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not samples:
         warnings.warn(f"{path}: no records found", stacklevel=2)
         return DatasetManifest([], class_count if class_count else 1)

@@ -60,11 +60,7 @@ def finite_diff_check(f: Callable[[], Tensor], param: Tensor, eps: float = 1e-5)
     ``f`` takes no arguments, reads ``param`` (and anything else) by closure,
     and must be deterministic. Only ``param``'s coordinates are perturbed.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
-    analytic = _analytic_gradients(f, [param])[0]
-    _check_deterministic(f)
-    return _numeric_max_error(f, param, analytic, eps)
+    return finite_diff_report(f, [("", param)], eps)[""]
 
 
 def finite_diff_report(

@@ -126,23 +126,26 @@ def read_topology_file(path) -> SkeletonTopology:
     n_nodes = None
     edges = []
     names = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "n_nodes" and len(parts) == 2:
-                    n_nodes = int(parts[1])
-                elif parts[0] == "edge" and len(parts) == 3:
-                    edges.append((int(parts[1]), int(parts[2])))
-                elif parts[0] == "name" and len(parts) == 3:
-                    names[int(parts[1])] = parts[2]
-                else:
-                    raise ValueError
-            except ValueError:
-                raise TopologyError(f"{path}:{lineno}: cannot parse {line!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                try:
+                    if parts[0] == "n_nodes" and len(parts) == 2:
+                        n_nodes = int(parts[1])
+                    elif parts[0] == "edge" and len(parts) == 3:
+                        edges.append((int(parts[1]), int(parts[2])))
+                    elif parts[0] == "name" and len(parts) == 3:
+                        names[int(parts[1])] = parts[2]
+                    else:
+                        raise ValueError
+                except ValueError:
+                    raise TopologyError(f"{path}:{lineno}: cannot parse {line!r}") from None
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if n_nodes is None:
         raise TopologyError(f"{path}: missing n_nodes line")
     name_tuple = None
@@ -160,24 +163,20 @@ def resolve_topology(spec: str) -> SkeletonTopology:
     return read_topology_file(spec)
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Precomputed D^-1/2 (A+I) D^-1/2, constant across frames and batches."""
-
-    matrix: Tensor
-
-
-def build_normalized_adjacency(topo: SkeletonTopology) -> NormalizedAdjacency:
+def build_normalized_adjacency(topo: SkeletonTopology) -> Tensor:
+    """D^-1/2 (A+I) D^-1/2 as an untracked [N, N] tensor, the GCN's
+    propagation table."""
     a_hat = topo.adjacency() + np.eye(topo.n_nodes)
     d_hat = a_hat.sum(axis=1)  # degree plus one; isolated nodes get 1
     inv_sqrt = 1.0 / np.sqrt(d_hat)
-    norm = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return NormalizedAdjacency(Tensor(norm))
+    return Tensor(a_hat * inv_sqrt[:, None] * inv_sqrt[None, :])
 
 
-def gcn_forward(adj: NormalizedAdjacency, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
-    """act(adj @ h @ w); leading axes of ``h`` are independent frames."""
-    return ops.elementwise(act, ops.matmul(ops.matmul(adj.matrix, h), w))
+def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
+    """act(adj @ h @ w) for the table ``adj`` of
+    :func:`build_normalized_adjacency`; leading axes of ``h`` are
+    independent frames."""
+    return ops.elementwise(act, ops.matmul(ops.matmul(adj, h), w))
 
 
 @dataclass

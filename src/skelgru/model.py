@@ -19,7 +19,6 @@ from . import ops
 from .cells import GRUCellParams, unroll
 from .graph import (
     GATLayerParams,
-    NormalizedAdjacency,
     SkeletonTopology,
     build_normalized_adjacency,
     gat_forward,
@@ -216,12 +215,7 @@ def embed_input(params: ModelParams, batch: SequenceBatch) -> Tensor:
     return ops.add_bias(ops.matmul(frames, params.embed_w), params.embed_b)
 
 
-def stage_forward(
-    stage: StageParams,
-    h_in: Tensor,
-    adj: NormalizedAdjacency,
-    topo: SkeletonTopology,
-) -> Tensor:
+def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> Tensor:
     """Spatial layer per frame, then a GRU along t per (sample, node).
 
     The GRU weights are shared across nodes; each of the B*N node tracks
@@ -231,7 +225,7 @@ def stage_forward(
         raise ShapeError(f"stage input must be [T,B,N,H], got {list(h_in.shape)}")
     t, b, n, h = h_in.shape
     if isinstance(stage.gnn, Tensor):
-        spatial = gcn_forward(adj, h_in, stage.gnn, act="relu")
+        spatial = gcn_forward(build_normalized_adjacency(topo), h_in, stage.gnn, act="relu")
     else:
         spatial = gat_forward(stage.gnn, h_in, topo, act="elu")
     assert spatial.shape == h_in.shape
@@ -239,15 +233,9 @@ def stage_forward(
     return ops.reshape(states, h_in.shape)
 
 
-def residual_norm_stage(
-    stage: StageParams,
-    h_in: Tensor,
-    adj: NormalizedAdjacency,
-    topo: SkeletonTopology,
-    eps: float,
-) -> Tensor:
+def residual_norm_stage(stage: StageParams, h_in: Tensor, topo: SkeletonTopology, eps: float) -> Tensor:
     """Norm(block(x) + x), normalized over the feature axis per node per frame."""
-    block = stage_forward(stage, h_in, adj, topo)
+    block = stage_forward(stage, h_in, topo)
     return ops.residual_norm(block, h_in, stage.norm_gain, stage.norm_bias, eps)
 
 
@@ -324,11 +312,10 @@ def model_forward(
         raise ShapeError(f"batch has {t} frames, config.seq_len is {config.seq_len}")
     if topo.n_nodes != config.n_nodes:
         raise ShapeError(f"topology has {topo.n_nodes} nodes, config expects {config.n_nodes}")
-    adj = build_normalized_adjacency(topo)
     h = embed_input(params, batch)
     assert h.shape == (t, b, n, config.hidden)
     for stage in params.stages:
-        h = residual_norm_stage(stage, h, adj, topo, config.norm_epsilon)
+        h = residual_norm_stage(stage, h, topo, config.norm_epsilon)
         assert h.shape == (t, b, n, config.hidden)
     pooled = temporal_attention_pool(params.attn_w, params.attn_b, h, batch.mask, time_major=True)
     assert pooled.shape == (b, config.flat_width)

@@ -171,22 +171,23 @@ class ClassMetrics:
 
 @dataclass
 class EvalReport:
-    accuracy: float
+    """An evaluation, held as its confusion counts; the metrics derive from them."""
+
     confusion: np.ndarray  # [C, C], rows = true class, columns = predicted
-    per_class: list[ClassMetrics]
 
     def __post_init__(self):
         self.confusion = np.asarray(self.confusion, dtype=np.int64)
         c = self.confusion.shape[0]
         if self.confusion.shape != (c, c):
             raise ValueError(f"confusion must be square, got {list(self.confusion.shape)}")
-        total = int(self.confusion.sum())
-        if total:
-            trace = int(np.trace(self.confusion))
-            if abs(self.accuracy - trace / total) > 1e-12:
-                raise ValueError(
-                    f"accuracy {self.accuracy} inconsistent with confusion trace {trace}/{total}"
-                )
+
+    @property
+    def accuracy(self) -> float:
+        return float(np.trace(self.confusion)) / int(self.confusion.sum())
+
+    @property
+    def per_class(self) -> list[ClassMetrics]:
+        return per_class_metrics(self.confusion)
 
 
 def per_class_metrics(confusion: np.ndarray) -> list[ClassMetrics]:
@@ -286,8 +287,7 @@ def evaluate(
     preds = logits.argmax(axis=1)
     conf = np.zeros((config.classes, config.classes), dtype=np.int64)
     np.add.at(conf, (split.labels, preds), 1)
-    accuracy = float(np.trace(conf)) / len(split)
-    return EvalReport(accuracy, conf, per_class_metrics(conf))
+    return EvalReport(conf)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,23 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("field", ["config block", "topology hash", "tensor name"])
+    def test_undecodable_text_field(self, saved, tmp_path, field):
+        _, _, path, _ = saved
+        body = bytearray(path.read_bytes()[:-32])
+        (n_block,) = struct.unpack_from("<I", body, BLOCK_AT)
+        hash_at = BLOCK_AT + 4 + n_block
+        (n_hash,) = struct.unpack_from("<I", body, hash_at)
+        # each field's first byte: past its u32 (or, for the first name, the
+        # tensor count and the u16 name length)
+        first = {"config block": BLOCK_AT + 4, "topology hash": hash_at + 4,
+                 "tensor name": hash_at + 4 + n_hash + 4 + 2}[field]
+        body[first] = 0xFF
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(resign(bytes(body)))
+        with pytest.raises(CheckpointError, match=rf"bad\.ckpt: {field} is not UTF-8"):
+            load_checkpoint(bad)
+
     def test_shape_mismatch_via_config_surgery(self, saved, tmp_path):
         # bump hidden width in the stored config so tensors no longer fit
         _, _, path, _ = saved

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pkgutil
@@ -11,7 +12,7 @@ import pytest
 import skelgru
 from skelgru import training
 
-from skelgru.checkpoint import save_checkpoint
+from skelgru.checkpoint import MAGIC, save_checkpoint
 from skelgru.cli import EXIT_CONFIG, EXIT_DATA, EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, main
 from skelgru.config import load_run_config, model_config_from
 from skelgru.graph import chain_topology
@@ -301,6 +302,27 @@ class TestPredict:
         assert run("predict", str(bad), *args) == EXIT_DATA
 
 
+def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(tmp_path):
+    args = synth_and_train(tmp_path)
+    dataset = tmp_path / "utf16.jsonl"
+    dataset.write_bytes(b"\xff\xfe" + (tmp_path / "data/val.jsonl").read_bytes())
+    assert run("predict", str(dataset), *args) == EXIT_DATA
+
+    topo_file = tmp_path / "topo.txt"
+    topo_file.write_bytes(b"n_nodes 3\nedge 0 1\nname 0 \xff\n")
+    assert run("eval", "--split", "val", *args, f"--set=data.topology={topo_file}") == EXIT_DATA
+
+    body = bytearray((tmp_path / "run/best.ckpt").read_bytes()[:-32])
+    body[len(MAGIC) + 2 + 4] = 0xFF  # first byte of the config block
+    ckpt = tmp_path / "bad_block.ckpt"
+    ckpt.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    assert run("eval", "--split", "val", "--checkpoint", str(ckpt), *args) == EXIT_DATA
+
+    run_config = tmp_path / "run.cfg"
+    run_config.write_bytes(b"seed = 0\n# \xff\n")
+    assert run("eval", "--split", "val", "--config", str(run_config), *args) == EXIT_CONFIG
+
+
 class TestGradcheck:
     def test_passes_and_prints_verdict(self, capsys):
         assert run("gradcheck") == EXIT_OK
@@ -314,6 +336,14 @@ class TestGradcheck:
         assert run("gradcheck") == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
+
+    def test_error_column_is_aligned(self, capsys):
+        assert run("gradcheck") == EXIT_OK
+        rows = [line.rsplit(" ", 2) for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("primitive ", "param "))]
+        labels = [label.rstrip() for label, _, _ in rows]
+        assert "primitive residual_norm_block" in labels  # the longest primitive name
+        assert {len(label) for label, _, _ in rows} == {max(map(len, labels))}
 
 
 def test_each_module_imports_alone():

@@ -109,6 +109,13 @@ class TestFileFormat:
         with pytest.raises(DataFormatError, match="outside"):
             ingest(path, chain_topology(2), class_count=3)
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        rec = {"id": "a", "label": 0, "frames": toy_frames(1, 2).tolist()}
+        path.write_bytes(b"\xff\xfe" + json.dumps(rec).encode() + b"\n")
+        with pytest.raises(DataFormatError, match=r"data\.jsonl: not UTF-8"):
+            ingest(path, chain_topology(2))
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
         rec = {"id": "a", "label": 0, "frames": toy_frames(1, 2).tolist()}

@@ -96,6 +96,9 @@ def test_topology_file_errors(tmp_path):
     path.write_text("edge 0 1\n")
     with pytest.raises(TopologyError, match="missing n_nodes"):
         read_topology_file(path)
+    path.write_bytes(b"n_nodes 3\nname 0 \xff\n")
+    with pytest.raises(TopologyError, match=r"bad\.txt: not UTF-8"):
+        read_topology_file(path)
 
 
 def test_resolve_topology_specs(tmp_path):
@@ -110,19 +113,19 @@ def test_resolve_topology_specs(tmp_path):
 # normalized adjacency
 
 def test_normalized_adjacency_examples():
-    single = build_normalized_adjacency(SkeletonTopology(1, ())).matrix.data
+    single = build_normalized_adjacency(SkeletonTopology(1, ())).data
     assert np.array_equal(single, [[1.0]])
 
-    pair = build_normalized_adjacency(SkeletonTopology(2, ((0, 1),))).matrix.data
+    pair = build_normalized_adjacency(SkeletonTopology(2, ((0, 1),))).data
     assert np.allclose(pair, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
-    path = build_normalized_adjacency(chain_topology(3)).matrix.data
+    path = build_normalized_adjacency(chain_topology(3)).data
     assert np.isclose(path[0, 1], 1.0 / np.sqrt(6.0))
     assert np.isclose(path[0, 1], 0.40825, atol=5e-6)
 
 
 def test_normalized_adjacency_isolated_node():
-    m = build_normalized_adjacency(SkeletonTopology(3, ((0, 1),))).matrix.data
+    m = build_normalized_adjacency(SkeletonTopology(3, ((0, 1),))).data
     assert m[2, 2] == 1.0
     assert m[2, 0] == m[2, 1] == 0.0
 
@@ -134,7 +137,7 @@ def test_normalized_adjacency_matches_oracle(n, seed):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     take = rng.random(len(pairs)) < 0.4
     edges = tuple(p for p, t in zip(pairs, take) if t)
-    got = build_normalized_adjacency(SkeletonTopology(n, edges)).matrix.data
+    got = build_normalized_adjacency(SkeletonTopology(n, edges)).data
     want = oracles.normalized_adjacency_ref(n, edges)
     assert np.allclose(got, want, atol=1e-14)
     assert np.array_equal(got, got.T)
@@ -169,7 +172,7 @@ def test_gcn_matches_loop_oracle():
     h, w = rand((5, 3)), rand((3, 4))
     for act in ("identity", "relu", "elu"):
         got = gcn_forward(adj, h, w, act=act).data
-        want = oracles.gcn_ref(adj.matrix.data, h.data, w.data, act)
+        want = oracles.gcn_ref(adj.data, h.data, w.data, act)
         assert np.allclose(got, want, atol=1e-12)
 
 

@@ -154,10 +154,9 @@ def test_embed_matches_per_node_loop():
 
 def test_stage_forward_zero_gru_gives_zeros():
     topo = chain_topology(3)
-    adj = build_normalized_adjacency(topo)
     stage = zero_stage(4)
     stage.gnn.data[:] = RNG.normal(0, 1, (4, 4))
-    out = stage_forward(stage, rand((5, 2, 3, 4)), adj, topo)
+    out = stage_forward(stage, rand((5, 2, 3, 4)), topo)
     assert np.array_equal(out.data, np.zeros((5, 2, 3, 4)))
 
 
@@ -176,8 +175,8 @@ def test_stage_forward_single_step_closed_form():
         norm_bias=Tensor(np.zeros(h)),
     )
     h_in = rand((1, 1, 2, h))
-    out = stage_forward(stage, h_in, adj, topo).data
-    gcn = oracles.gcn_ref(adj.matrix.data, h_in.data[0, 0], np.eye(h), "relu")
+    out = stage_forward(stage, h_in, topo).data
+    gcn = oracles.gcn_ref(adj.data, h_in.data[0, 0], np.eye(h), "relu")
     for v in range(2):
         x = gcn[v]
         hx = [0.0] * h + list(x)
@@ -191,7 +190,6 @@ def test_stage_forward_gru_runs_along_time_per_node():
     # node tracks are independent: changing node 1's frames must not
     # affect node 0's outputs when the graph has no edges
     topo = SkeletonTopology(2, ())
-    adj = build_normalized_adjacency(topo)
     stage = StageParams(
         gnn=Tensor(np.eye(3)), gru=zero_gru(3),
         norm_gain=Tensor(np.ones(3)), norm_bias=Tensor(np.zeros(3)),
@@ -199,20 +197,19 @@ def test_stage_forward_gru_runs_along_time_per_node():
     stage.gru.w_h.data[:] = RNG.normal(0, 1, (3, 6))
     stage.gru.w_z.data[:] = RNG.normal(0, 1, (3, 6))
     base_in = rand((4, 1, 2, 3))
-    base = stage_forward(stage, base_in, adj, topo).data
+    base = stage_forward(stage, base_in, topo).data
     bumped = Tensor(base_in.data.copy())
     bumped.data[:, 0, 1, :] += 3.0
-    out = stage_forward(stage, bumped, adj, topo).data
+    out = stage_forward(stage, bumped, topo).data
     assert np.allclose(out[:, 0, 0], base[:, 0, 0], atol=1e-14)
     assert not np.allclose(out[:, 0, 1], base[:, 0, 1])
 
 
 def test_residual_norm_zero_block_is_layer_norm_of_input():
     topo = chain_topology(3)
-    adj = build_normalized_adjacency(topo)
     stage = zero_stage(4)
     h_in = rand((3, 2, 3, 4))
-    out = residual_norm_stage(stage, h_in, adj, topo, eps=1e-5).data
+    out = residual_norm_stage(stage, h_in, topo, eps=1e-5).data
     for bi in range(2):
         for t in range(3):
             for v in range(3):
@@ -222,21 +219,19 @@ def test_residual_norm_zero_block_is_layer_norm_of_input():
 
 def test_residual_norm_constant_feature_zero_block_gives_bias():
     topo = chain_topology(2)
-    adj = build_normalized_adjacency(topo)
     stage = zero_stage(4)
     stage.norm_bias.data[:] = [1.0, -2.0, 0.5, 3.0]
     h_in = Tensor(np.full((2, 1, 2, 4), 7.3))
-    out = residual_norm_stage(stage, h_in, adj, topo, eps=1e-5).data
+    out = residual_norm_stage(stage, h_in, topo, eps=1e-5).data
     assert np.allclose(out, np.broadcast_to(stage.norm_bias.data, out.shape), atol=1e-12)
 
 
 def test_residual_path_carries_gradient_with_zero_block():
     topo = chain_topology(2)
-    adj = build_normalized_adjacency(topo)
     stage = zero_stage(3)
     h_in = rand((2, 1, 2, 3), grad=True)
     with Tape() as tape:
-        loss = ops.sum_all(ops.mul(residual_norm_stage(stage, h_in, adj, topo, 1e-5),
+        loss = ops.sum_all(ops.mul(residual_norm_stage(stage, h_in, topo, 1e-5),
                                    rand((2, 1, 2, 3))))
     backward(tape, loss)
     assert np.abs(h_in.grad).max() > 0.0
@@ -244,9 +239,8 @@ def test_residual_path_carries_gradient_with_zero_block():
 
 def test_stage_forward_rejects_bad_rank():
     topo = chain_topology(2)
-    adj = build_normalized_adjacency(topo)
     with pytest.raises(ShapeError):
-        stage_forward(zero_stage(3), rand((2, 2, 3)), adj, topo)
+        stage_forward(zero_stage(3), rand((2, 2, 3)), topo)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +433,6 @@ def test_model_zero_blocks_reduce_to_repeated_layer_norm():
         stage.norm_bias.data[:] = 0.0
     batch = random_batch(config, b=2, seed=13)
     h = embed_input(params, batch).data
-    adj = build_normalized_adjacency(topo)
     got = h.copy()
     for _ in range(3):
         flat = got.reshape(-1, 4)
@@ -449,7 +442,7 @@ def test_model_zero_blocks_reduce_to_repeated_layer_norm():
         ]).reshape(h.shape)
     full = embed_input(params, batch)
     for stage in params.stages:
-        full = residual_norm_stage(stage, full, adj, topo, config.norm_epsilon)
+        full = residual_norm_stage(stage, full, topo, config.norm_epsilon)
     assert np.allclose(full.data, got, atol=1e-12)
 
 

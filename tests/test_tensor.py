@@ -26,7 +26,7 @@ def test_tensor_is_contiguous_float64():
     assert t.data.dtype == np.float64
     assert t.data.flags["C_CONTIGUOUS"]
     assert t.shape == (2, 3)
-    assert t.values.tolist() == [2.0, 1.0, 0.0, 5.0, 4.0, 3.0]
+    assert t.data.ravel().tolist() == [2.0, 1.0, 0.0, 5.0, 4.0, 3.0]
 
 
 def test_item_requires_scalar():

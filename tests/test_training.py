@@ -237,17 +237,11 @@ class TestPerClassMetrics:
         with pytest.raises(ValueError, match="non-negative"):
             per_class_metrics([[1, -1], [0, 1]])
 
-    def test_report_consistency_enforced(self):
-        conf = np.array([[5, 0], [0, 5]])
-        EvalReport(1.0, conf, per_class_metrics(conf))
-        with pytest.raises(ValueError, match="inconsistent"):
-            EvalReport(0.9, conf, per_class_metrics(conf))
-
 
 class TestReportFormat:
     def report(self):
         conf = np.array([[3, 1, 0], [0, 4, 1], [2, 0, 5]])
-        return EvalReport(12 / 16, conf, per_class_metrics(conf))
+        return EvalReport(conf)
 
     def test_class_order(self):
         lines = format_eval_report(self.report()).splitlines()
@@ -262,7 +256,7 @@ class TestReportFormat:
 
     def test_zero_division_star(self):
         conf = np.array([[0, 0], [0, 3]])
-        report = EvalReport(1.0, conf, per_class_metrics(conf))
+        report = EvalReport(conf)
         text = format_eval_report(report)
         assert "0 0.000000 0.000000 0.000000 0 *" in text
         assert "zero-denominator" in text
