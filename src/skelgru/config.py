@@ -69,8 +69,14 @@ def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
     """Defaults, then file values, then 'key=value' override strings."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            cfg.update(parse_config_text(fh.read(), source=str(path)))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+        cfg.update(parse_config_text(text, source=str(path)))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")

@@ -38,7 +38,8 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading axes broadcast as stacked matrices.
 
-    Gradients: dA = dC @ B^T, dB = A^T @ dC (summed over broadcast axes).
+    Gradients: dA = dC @ B^T, dB = A^T @ dC (summed over broadcast axes),
+    each only for an operand that is tracked when the product is recorded.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {list(a.shape)} @ {list(b.shape)}")
@@ -49,10 +50,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:  # incompatible stacked-batch axes
         raise ShapeError(f"matmul batch axes differ: {list(a.shape)} @ {list(b.shape)}") from exc
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def back(g):
-        ga = _sum_to_shape(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        gb = _sum_to_shape(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        ga = _sum_to_shape(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape) if need_a else None
+        gb = _sum_to_shape(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape) if need_b else None
         return ga, gb
 
     return _emit("matmul", (a, b), out, back)

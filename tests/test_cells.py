@@ -70,11 +70,11 @@ def zero_gru(h, d):
                          w_h=z((h, h + d)), b_h=z(h))
 
 
-def rand_gru(h, d, grad=False):
+def rand_gru(h, d, grad=False, scale=0.6):
     return GRUCellParams(
-        w_z=rand((h, h + d), grad), b_z=rand((h,), grad),
-        w_r=rand((h, h + d), grad), b_r=rand((h,), grad),
-        w_h=rand((h, h + d), grad), b_h=rand((h,), grad),
+        w_z=rand((h, h + d), grad, scale), b_z=rand((h,), grad, scale),
+        w_r=rand((h, h + d), grad, scale), b_r=rand((h,), grad, scale),
+        w_h=rand((h, h + d), grad, scale), b_h=rand((h,), grad, scale),
     )
 
 
@@ -378,11 +378,19 @@ def _states_and_grads(run, p, xs, h0, weights):
     return loss.data, [leaf.grad for leaf in leaves]
 
 
-@pytest.mark.parametrize("shape", [(7, 3), (6, 4, 3)])
+# the desk stage and the paper width, each with h = d
+STAGE_SHAPES = ((32, 288, 32), (16, 68, 64))
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (6, 4, 3), *STAGE_SHAPES])
 @pytest.mark.parametrize("track_h0", [True, False])
 def test_gru_sequence_matches_cell_step_loop(shape, track_h0):
-    h_size = 5
-    p = rand_gru(h_size, shape[-1], grad=True)
+    # stage shapes take weights at the model's init scale 1/sqrt(h + d); at
+    # the default 0.6 their gates saturate, and the fused op and the per-op
+    # loop already differ by up to 7e-12 in rounding alone
+    stage = shape in STAGE_SHAPES
+    h_size = shape[-1] if stage else 5
+    p = rand_gru(h_size, shape[-1], grad=True, scale=1.0 / np.sqrt(2 * h_size) if stage else 0.6)
     xs = rand(shape, grad=True)
     h0 = rand(shape[1:-1] + (h_size,), grad=track_h0)
     weights = rand(shape[:-1] + (h_size,))

@@ -302,7 +302,7 @@ class TestPredict:
         assert run("predict", str(bad), *args) == EXIT_DATA
 
 
-def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(tmp_path):
+def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(tmp_path, capsys):
     args = synth_and_train(tmp_path)
     dataset = tmp_path / "utf16.jsonl"
     dataset.write_bytes(b"\xff\xfe" + (tmp_path / "data/val.jsonl").read_bytes())
@@ -320,7 +320,9 @@ def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(t
 
     run_config = tmp_path / "run.cfg"
     run_config.write_bytes(b"seed = 0\n# \xff\n")
+    capsys.readouterr()
     assert run("eval", "--split", "val", "--config", str(run_config), *args) == EXIT_CONFIG
+    assert f"config error: {run_config}:2: not UTF-8 text: invalid start byte" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -173,10 +173,28 @@ def check_grad(build, param, tol=1e-6):
     assert err <= tol, f"gradient error {err:.3e}"
 
 
+def _matmul_record_grads(a, b):
+    with Tape() as tape:
+        out = ops.matmul(a, b)
+    return tape.records[0].backward_fn(np.cos(out.data))
+
+
 def test_grad_matmul():
     a, b = rand((3, 4)), rand((4, 2))
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.matmul(a, b))), a)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.matmul(a, b))), b)
+    # an operand untracked when the product is recorded gets no gradient,
+    # and the tracked one's is the same bits as when both are tracked; a
+    # local generator leaves the draws of later tests as they were
+    rng = np.random.default_rng(7)
+    for sa, sb in (((3, 4), (4, 2)), ((5, 3, 4), (4, 2)), ((3, 3), (5, 3, 2))):
+        a = Tensor(rng.normal(0.0, 1.0, sa), requires_grad=True)
+        b = Tensor(rng.normal(0.0, 1.0, sb), requires_grad=True)
+        want = _matmul_record_grads(a, b)
+        got_a, none_b = _matmul_record_grads(a, Tensor(b.data))
+        none_a, got_b = _matmul_record_grads(Tensor(a.data), b)
+        assert none_a is None and none_b is None
+        assert np.array_equal(got_a, want[0]) and np.array_equal(got_b, want[1])
 
 
 def test_grad_matmul_batched():

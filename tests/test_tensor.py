@@ -185,6 +185,44 @@ def test_backward_bitwise_matches_zero_fill_on_fan_out():
     assert not unused.grad.any()
 
 
+@pytest.mark.parametrize("op", ["gru_sequence", "gat_layer", "residual_norm"])
+def test_fused_backward_never_writes_its_incoming_gradient(op):
+    """The Record contract for the fused kernels that work in place: handed
+    a read-only gradient, each backward must return the same bits as from
+    a writable copy, on two records made from the same inputs."""
+    rng = np.random.default_rng(11)
+    t_len, n, h, heads = 5, 4, 4, 2
+
+    def p(*shape):
+        return Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
+
+    x = p(t_len, n, h)
+    if op == "gru_sequence":
+        gru, h0 = GRUCellParams(p(h, 2 * h), p(h), p(h, 2 * h), p(h), p(h, 2 * h), p(h)), p(n, h)
+        build = lambda: gru_sequence(gru, x, h0)  # noqa: E731
+    elif op == "gat_layer":
+        gat = GATLayerParams(heads, [p(h, h // heads) for _ in range(heads)],
+                             [p(2 * h // heads) for _ in range(heads)])
+        build = lambda: gat_forward(gat, x, chain_topology(n))  # noqa: E731
+    else:
+        block, gain, bias = p(t_len, n, h), p(h), p(h)
+        build = lambda: ops.residual_norm(block, x, gain, bias, 1e-5)  # noqa: E731
+    grad = rng.normal(0.0, 1.0, x.shape)
+    frozen = grad.copy()
+    frozen.setflags(write=False)
+    results = []
+    for incoming in (grad, frozen):
+        with Tape() as tape:
+            build()
+        (rec,) = tape.records
+        assert rec.op == op
+        results.append(rec.backward_fn(incoming))
+    for want, got in zip(*results):
+        assert (want is None) == (got is None)
+        assert want is None or np.array_equal(want, got)
+    assert np.array_equal(frozen, grad)
+
+
 def test_first_invalid_record_names_nan_source():
     x = Tensor([1.0, -1.0], requires_grad=True)
     with Tape() as tape:
