@@ -4,7 +4,8 @@ Each gate weight is one matrix [h, h+d] applied to the concatenation
 [h_prev, x], matching the compact formulation. Steps accept a single
 state vector [h] with input [d], or a stack of independent rows [R, h]
 with [R, d]; the stacked form is what the model uses to run every
-(sample, node) pair in one call.
+(sample, node) pair in one call. ``CellParams``, the three parameter
+sets' shared base, checks every gate's shapes.
 
 The update convention for the GRU is h = (1-z) * h_prev + z * h_new,
 with z gating the candidate (some libraries swap the two terms).
@@ -31,12 +32,28 @@ from . import ops
 from .tensor import ShapeError, Tensor, active_tape
 
 
-def _gate_shapes_ok(w: Tensor, b: Tensor, h: int, d: int) -> bool:
-    return w.shape == (h, h + d) and b.shape == (h,)
+class CellParams:
+    """Base of the three cells' parameters. Subclasses list their gates as
+    (weight, bias) pairs; every weight is [h, h+d] with d >= 1 and every
+    bias [h], and the first weight sets h and d."""
+
+    def __post_init__(self):
+        h, d = self.hidden_size, self.input_size
+        for w, b in self.gates:
+            if d < 1 or w.shape != (h, h + d) or b.shape != (h,):
+                raise ShapeError(f"gate {list(w.shape)} / {list(b.shape)} inconsistent with h={h}, d={d}")
+
+    @property
+    def hidden_size(self) -> int:
+        return self.gates[0][0].shape[0]
+
+    @property
+    def input_size(self) -> int:
+        return self.gates[0][0].shape[1] - self.hidden_size
 
 
 @dataclass
-class RNNCellParams:
+class RNNCellParams(CellParams):
     """Vanilla cell: state update W_h/b_h plus output projection W_y/b_y."""
 
     w_h: Tensor
@@ -46,26 +63,19 @@ class RNNCellParams:
     phi: str = "tanh"
     psi: str = "identity"
 
+    @property
+    def gates(self):
+        return ((self.w_h, self.b_h),)
+
     def __post_init__(self):
-        h = self.w_h.shape[0]
-        d = self.w_h.shape[1] - h
-        if d < 1 or not _gate_shapes_ok(self.w_h, self.b_h, h, d):
-            raise ShapeError(f"W_h {list(self.w_h.shape)} / b_h {list(self.b_h.shape)} inconsistent")
+        super().__post_init__()
         o = self.w_y.shape[0]
-        if self.w_y.shape != (o, h) or self.b_y.shape != (o,):
+        if self.w_y.shape != (o, self.hidden_size) or self.b_y.shape != (o,):
             raise ShapeError(f"W_y {list(self.w_y.shape)} / b_y {list(self.b_y.shape)} inconsistent")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_h.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_h.shape[1] - self.w_h.shape[0]
 
 
 @dataclass
-class LSTMCellParams:
+class LSTMCellParams(CellParams):
     """Forget/input/candidate/output gates, all [h, h+d] with [h] biases."""
 
     w_f: Tensor
@@ -77,24 +87,13 @@ class LSTMCellParams:
     w_o: Tensor
     b_o: Tensor
 
-    def __post_init__(self):
-        h, d = self.hidden_size, self.input_size
-        for w, b in ((self.w_f, self.b_f), (self.w_i, self.b_i),
-                     (self.w_c, self.b_c), (self.w_o, self.b_o)):
-            if d < 1 or not _gate_shapes_ok(w, b, h, d):
-                raise ShapeError(f"gate {list(w.shape)} / {list(b.shape)} inconsistent with h={h}, d={d}")
-
     @property
-    def hidden_size(self) -> int:
-        return self.w_f.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
+    def gates(self):
+        return ((self.w_f, self.b_f), (self.w_i, self.b_i), (self.w_c, self.b_c), (self.w_o, self.b_o))
 
 
 @dataclass
-class GRUCellParams:
+class GRUCellParams(CellParams):
     """Update gate z, reset gate r, candidate h; all [h, h+d] with [h] biases."""
 
     w_z: Tensor
@@ -104,19 +103,9 @@ class GRUCellParams:
     w_h: Tensor
     b_h: Tensor
 
-    def __post_init__(self):
-        h, d = self.hidden_size, self.input_size
-        for w, b in ((self.w_z, self.b_z), (self.w_r, self.b_r), (self.w_h, self.b_h)):
-            if d < 1 or not _gate_shapes_ok(w, b, h, d):
-                raise ShapeError(f"gate {list(w.shape)} / {list(b.shape)} inconsistent with h={h}, d={d}")
-
     @property
-    def hidden_size(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_z.shape[1] - self.w_z.shape[0]
+    def gates(self):
+        return ((self.w_z, self.b_z), (self.w_r, self.b_r), (self.w_h, self.b_h))
 
 
 @dataclass
@@ -134,6 +123,12 @@ def _as_rows(t: Tensor) -> tuple[Tensor, bool]:
     if t.ndim == 2:
         return t, False
     raise ShapeError(f"expected vector or row stack, got {list(t.shape)}")
+
+
+def _from_rows(squeeze: bool, *rows: Tensor):
+    """Undo _as_rows: drop each output's 1-row axis if the input was a vector."""
+    rows = tuple(ops.reshape(t, (t.shape[-1],)) for t in rows) if squeeze else rows
+    return rows if len(rows) > 1 else rows[0]
 
 
 def _gate(w: Tensor, b: Tensor, h_rows: Tensor, x_rows: Tensor, act: str) -> Tensor:
@@ -160,9 +155,7 @@ def rnn_cell_step(p: RNNCellParams, h_prev: Tensor, x: Tensor) -> tuple[Tensor, 
     x_rows, _ = _as_rows(x)
     h_new = _gate(p.w_h, p.b_h, h_rows, x_rows, p.phi)
     y = ops.elementwise(p.psi, ops.add_bias(ops.matmul(h_new, ops.transpose(p.w_y)), p.b_y))
-    if squeeze:
-        return ops.reshape(h_new, (p.hidden_size,)), ops.reshape(y, (y.shape[-1],))
-    return h_new, y
+    return _from_rows(squeeze, h_new, y)
 
 
 def dense_forward(p: RNNCellParams, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -173,9 +166,7 @@ def dense_forward(p: RNNCellParams, x: Tensor) -> tuple[Tensor, Tensor]:
     x_rows, squeeze = _as_rows(x)
     h_new = ops.elementwise(p.phi, ops.add_bias(ops.matmul(x_rows, ops.transpose(w_hx)), p.b_h))
     y = ops.elementwise(p.psi, ops.add_bias(ops.matmul(h_new, ops.transpose(p.w_y)), p.b_y))
-    if squeeze:
-        return ops.reshape(h_new, (h,)), ops.reshape(y, (y.shape[-1],))
-    return h_new, y
+    return _from_rows(squeeze, h_new, y)
 
 
 def lstm_cell_step(p: LSTMCellParams, h_prev: Tensor, c_prev: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -193,10 +184,7 @@ def lstm_cell_step(p: LSTMCellParams, h_prev: Tensor, c_prev: Tensor, x: Tensor)
     c_new = ops.add(ops.mul(f, c_rows), ops.mul(i, c_tilde))
     o = _gate(p.w_o, p.b_o, h_rows, x_rows, "sigmoid")
     h_new = ops.mul(o, ops.elementwise("tanh", c_new))
-    if squeeze:
-        h_shape = (p.hidden_size,)
-        return ops.reshape(h_new, h_shape), ops.reshape(c_new, h_shape)
-    return h_new, c_new
+    return _from_rows(squeeze, h_new, c_new)
 
 
 def gru_cell_step(p: GRUCellParams, h_prev: Tensor, x: Tensor) -> Tensor:
@@ -210,9 +198,7 @@ def gru_cell_step(p: GRUCellParams, h_prev: Tensor, x: Tensor) -> Tensor:
     h_tilde = _gate(p.w_h, p.b_h, ops.mul(r, h_rows), x_rows, "tanh")
     one_minus_z = ops.sub(Tensor(np.ones(z.shape)), z)
     h_new = ops.add(ops.mul(one_minus_z, h_rows), ops.mul(z, h_tilde))
-    if squeeze:
-        return ops.reshape(h_new, (p.hidden_size,))
-    return h_new
+    return _from_rows(squeeze, h_new)
 
 
 def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:

@@ -65,6 +65,10 @@ def _echo_config(cfg: dict, path: Path) -> None:
     path.write_text(serialize_config(cfg), encoding="utf-8")
 
 
+def _commented_config(cfg: dict) -> str:
+    return "".join(f"# {line}\n" for line in serialize_config(cfg).splitlines())
+
+
 def _class_counts(manifest) -> str:
     counts = np.bincount(manifest.labels(), minlength=manifest.class_count)
     return ", ".join(f"class {c}: {n}" for c, n in enumerate(counts.tolist()))
@@ -151,8 +155,7 @@ def cmd_eval(cfg: dict, args) -> int:
     text = format_eval_report(report, sort="f1" if args.sort == "desc" else "f1_asc")
     out_path = Path(args.out) if args.out else Path(cfg["out.dir"]) / f"eval_{args.split}.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    echoed = "".join(f"# {line}\n" for line in serialize_config(cfg).splitlines())
-    out_path.write_text(text + "\n" + echoed, encoding="utf-8")
+    out_path.write_text(text + "\n" + _commented_config(cfg), encoding="utf-8")
     print(text, end="")
     print(f"report: {out_path}")
     return EXIT_OK
@@ -173,8 +176,7 @@ def cmd_predict(cfg: dict, args) -> int:
         for sid, c, p in zip(prepared.ids, classes, probs)
     ]
     if args.out:
-        echoed = "".join(f"# {line}\n" for line in serialize_config(cfg).splitlines())
-        Path(args.out).write_text(echoed + "\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(_commented_config(cfg) + "\n".join(lines) + "\n", encoding="utf-8")
         print(f"predictions: {args.out}")
     else:
         for line in lines:

@@ -51,10 +51,6 @@ class KeypointSequence:
             raise DataFormatError(f"sample {self.id!r}: negative label {self.label}")
 
     @property
-    def length(self) -> int:
-        return self.frames.shape[0]
-
-    @property
     def n_nodes(self) -> int:
         return self.frames.shape[1]
 
@@ -233,11 +229,6 @@ class PreparedSplit:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def take(self, indices) -> "PreparedSplit":
-        idx = np.asarray(indices, dtype=np.int64)
-        ids = [self.ids[i] for i in idx] if self.ids else []
-        return PreparedSplit(self.features[idx], self.mask[idx], self.labels[idx], ids)
 
 
 def prepare_split(manifest: DatasetManifest, target_t: int, normalize: str = "bbox") -> PreparedSplit:

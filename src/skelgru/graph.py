@@ -218,7 +218,7 @@ def _attend(params: GATLayerParams, h: Tensor, topo: SkeletonTopology):
     p = np.matmul(w_cat.T, ht)
     s = np.matmul(scorer, p)  # [N, 2K, M]
     e = s[:, None, :k] + s[nbr, k:]
-    slope = np.where(e > 0, 1.0, 0.2)
+    slope = ops.UNARY["leaky_relu"][1](e, None)
     e *= slope
     e[pad] = -np.inf
     alpha = np.exp(e - e.max(axis=1, keepdims=True))

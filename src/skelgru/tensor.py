@@ -82,14 +82,6 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}{flag}, id={self.tid})"
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad)
-
-
-def scalar(value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.float64(value), requires_grad)
-
-
 class Record:
     """One executed operation: output = op(inputs).
 

@@ -242,7 +242,7 @@ def format_eval_report(report: EvalReport, sort: str = "class") -> str:
         lines.append(
             f"{idx} {m.precision:.6f} {m.recall:.6f} {m.f1:.6f} {m.support}{star}"
         )
-    if any(m.zero_division for m in report.per_class):
+    if any(m.zero_division for _, m in rows):
         lines.append("* zero-denominator metric reported as 0")
     return "\n".join(lines) + "\n"
 
@@ -268,8 +268,7 @@ def eval_logits(
         batch = SequenceBatch(
             Tensor(split.features[sl]), split.mask[sl], split.labels[sl]
         )
-        logits = model_forward(params, config, batch, topo, training=False)
-        chunks.append(logits.data.copy())
+        chunks.append(model_forward(params, config, batch, topo, training=False).data)
     return np.concatenate(chunks, axis=0)
 
 

@@ -1,5 +1,7 @@
 """Recurrent cell steps and sequence unrolling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,30 @@ def test_step_shape_validation():
         gru_cell_step(p, rand((5, 3)), rand((4, 2)))
     with pytest.raises(ShapeError):
         lstm_cell_step(rand_lstm(3, 2), rand((3,)), rand((2,)), rand((2,)))
+
+
+CELL_GATES = {
+    "rnn": (zero_rnn, (("w_h", "b_h"),)),
+    "lstm": (zero_lstm, (("w_f", "b_f"), ("w_i", "b_i"), ("w_c", "b_c"), ("w_o", "b_o"))),
+    "gru": (zero_gru, (("w_z", "b_z"), ("w_r", "b_r"), ("w_h", "b_h"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_GATES))
+def test_cell_params_reject_bad_gate_shapes(kind):
+    make, gates = CELL_GATES[kind]
+    h, d = 3, 2
+    p = make(h, d)
+    assert (p.hidden_size, p.input_size) == (h, d)
+    z = lambda *shape: Tensor(np.zeros(shape))  # noqa: E731
+    bad = [{w: z(h + 1, h + d)} for w, _ in gates]
+    bad += [{b: z(h + 1)} for _, b in gates]
+    bad.append({w: z(h, h) for w, _ in gates})  # input width 0
+    if kind == "rnn":
+        bad += [{"w_y": z(h, h + 1)}, {"b_y": z(h + 1)}]
+    for fields in bad:
+        with pytest.raises(ShapeError):
+            dataclasses.replace(p, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ from skelgru.config import (
     synth_spec_from,
     train_plan_from,
 )
+from skelgru.data import SynthSpec
+from skelgru.model import ModelConfig
+from skelgru.training import AdamWState
 
 
 class TestParsing:
@@ -115,6 +118,13 @@ class TestBuilders:
         spec = synth_spec_from(cfg)
         assert spec.seed == 42 and spec.classes == 3
         assert spec.n_nodes == cfg["synth.nodes"]
+
+    def test_cli_defaults_are_library_defaults(self):
+        cfg = load_run_config()
+        assert model_config_from(cfg, 17) == ModelConfig()
+        assert synth_spec_from(cfg) == SynthSpec()
+        optim = (cfg["optim.beta1"], cfg["optim.beta2"], cfg["optim.eps"])
+        assert optim == (AdamWState.beta1, AdamWState.beta2, AdamWState.eps)
 
     def test_train_plan_wiring(self):
         cfg = load_run_config(None, ["train.epochs=5", "train.batch_size=16",

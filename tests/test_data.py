@@ -227,14 +227,6 @@ class TestPreprocess:
         assert ps.ids == ["a", "b"]
         assert len(ps) == 2
 
-    def test_prepare_split_take(self):
-        m = DatasetManifest(
-            [seq(f"s{i}", i % 2, toy_frames(3, 2)) for i in range(4)], 2
-        )
-        ps = prepare_split(m, 3, normalize="none").take([2, 0])
-        assert ps.ids == ["s2", "s0"]
-        assert ps.labels.tolist() == [0, 0]
-
     def test_prepare_split_empty_rejected(self):
         with pytest.raises(DataFormatError, match="empty"):
             prepare_split(DatasetManifest([], 1), 4)
@@ -255,7 +247,7 @@ class TestSynthesize:
 
     def test_shapes_and_confidence(self):
         for s in synthesize(self.SPEC).samples:
-            assert 6 <= s.length <= 10
+            assert 6 <= s.frames.shape[0] <= 10
             assert s.n_nodes == 4
             assert np.all(s.frames[:, :, 2] == 1.0)
 
@@ -266,7 +258,7 @@ class TestSynthesize:
     def test_lengths_vary_across_samples(self):
         spec = SynthSpec(classes=2, samples_per_class=20, n_nodes=3,
                          min_len=6, max_len=30, seed=0)
-        lengths = {s.length for s in synthesize(spec).samples}
+        lengths = {s.frames.shape[0] for s in synthesize(spec).samples}
         assert len(lengths) > 5
 
     def test_spec_validation(self):

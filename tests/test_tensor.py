@@ -16,8 +16,6 @@ from skelgru.tensor import (
     active_tape,
     backward,
     first_invalid_record,
-    scalar,
-    zeros,
 )
 
 
@@ -30,9 +28,9 @@ def test_tensor_is_contiguous_float64():
 
 
 def test_item_requires_scalar():
-    assert scalar(3.5).item() == 3.5
+    assert Tensor(np.float64(3.5)).item() == 3.5
     with pytest.raises(ShapeError):
-        zeros((2,)).item()
+        Tensor(np.zeros(2)).item()
 
 
 def test_tape_stack_nesting():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import adamw_step_ref
-from skelgru.data import SynthSpec, prepare_split, split, synthesize
+from skelgru.data import PreparedSplit, SynthSpec, prepare_split, split, synthesize
 from skelgru.graph import chain_topology
 from skelgru.model import (
     ModelConfig,
@@ -311,8 +311,9 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         config, topo, tr, *_ = small_setup()
         params = init_model_params(config, seed=0)
+        empty = PreparedSplit(tr.features[:0], tr.mask[:0], tr.labels[:0])
         with pytest.raises(ValueError, match="empty"):
-            evaluate(params, config, topo, tr.take([]))
+            evaluate(params, config, topo, empty)
 
 
 class TestTrainLoop:
@@ -416,8 +417,9 @@ class TestTrainLoop:
         params = init_model_params(config, seed=0)
         plan = TrainPlan(epochs=1, batch_size=4)
         state = init_adamw(named_parameters(params), lr=1e-3)
+        empty = PreparedSplit(tr.features[:0], tr.mask[:0], tr.labels[:0])
         with pytest.raises(ValueError, match="non-empty"):
-            train(params, config, topo, tr.take([]), va, plan, state, tmp_path)
+            train(params, config, topo, empty, va, plan, state, tmp_path)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
