@@ -14,6 +14,7 @@ from .cells import GRUCellParams, gru_sequence
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (
     ConfigError,
+    adamw_state_from,
     load_run_config,
     model_config_from,
     serialize_config,
@@ -47,7 +48,6 @@ from .training import (
     eval_logits,
     evaluate,
     format_eval_report,
-    init_adamw,
     train,
 )
 
@@ -109,14 +109,7 @@ def cmd_train(cfg: dict, args) -> int:
         manifest = ingest(data_dir / f"{tag}.jsonl", topo, class_count=model_config.classes)
         splits[tag] = prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
     params = _load_params(cfg, model_config, topo)
-    state = init_adamw(
-        named_parameters(params),
-        lr=cfg["optim.lr"],
-        weight_decay=cfg["optim.weight_decay"],
-        beta1=cfg["optim.beta1"],
-        beta2=cfg["optim.beta2"],
-        eps=cfg["optim.eps"],
-    )
+    state = adamw_state_from(cfg, named_parameters(params))
     plan = train_plan_from(cfg)
     out_dir = Path(cfg["out.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .checkpoint import format_fields, parse_fields, parse_value
 from .data import SynthSpec
 from .model import ModelConfig
-from .training import AdamWState, TrainPlan
+from .training import AdamWState, TrainPlan, init_adamw
 
 
 class ConfigError(ValueError):
@@ -105,6 +105,11 @@ def model_config_from(cfg: dict, n_nodes: int) -> ModelConfig:
 
 def synth_spec_from(cfg: dict) -> SynthSpec:
     return SynthSpec(seed=cfg["seed"], **{name: cfg[key] for key, name in _SYNTH_FIELDS.items()})
+
+
+def adamw_state_from(cfg: dict, named) -> AdamWState:
+    return init_adamw(named, lr=cfg["optim.lr"], weight_decay=cfg["optim.weight_decay"],
+                      **{name: cfg[key] for key, name in _ADAMW_FIELDS.items()})
 
 
 def train_plan_from(cfg: dict) -> TrainPlan:

@@ -145,12 +145,13 @@ UNARY = {
     "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
     "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64)),
+    # branchless: expm1(x) >= x and 0.2 * x >= x for x <= 0, so max gives where(x > 0, ...)
     "elu": (
-        lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))),
-        lambda x, y: np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0))),
+        lambda x: np.maximum(x, np.expm1(np.minimum(x, 0.0))),
+        lambda x, y: np.exp(np.minimum(x, 0.0)),
     ),
     # slope 0.2, as in the GAT paper (Velickovic et al. 2018)
-    "leaky_relu": (lambda x: np.where(x > 0, x, 0.2 * x), lambda x, y: np.where(x > 0, 1.0, 0.2)),
+    "leaky_relu": (lambda x: np.maximum(x, 0.2 * x), lambda x, y: (x > 0) * 0.8 + 0.2),
 }
 
 _BINARY = {

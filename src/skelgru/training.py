@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -32,18 +33,17 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+@functools.cache
 def retain_freed_memory() -> None:
-    """Keep the memory a training step frees mapped for the next step.
+    """Keep the memory a training step or an inference call frees mapped.
 
-    Every step builds its tape afresh and backward frees it. By default
-    glibc returns the free top of the heap to the kernel and serves large
-    arrays from mappings of their own, so the next step faults those pages
-    in again: 85k-175k minor faults per two-epoch desk call, their number
-    set by where long-lived objects happen to sit in the heap, so that step
-    time varied from run to run with it. Fixed thresholds (arrays up to
-    32 MB from the heap, no trimming below 1 GB of free top) leave the pages
-    mapped after the first step; the peak resident set stays the same.
-    Without glibc's ``mallopt`` this does nothing.
+    glibc by default returns the heap's free top to the kernel and maps
+    large arrays apart, so each call faults the last one's freed pages in
+    again: 85k-175k minor faults per two-epoch desk training call, 8k-12k
+    (18-20 ms) per 32-sample desk batch. Fixed thresholds (arrays up to 32 MB
+    from the heap, no trim below 1 GB of free top) keep them mapped at the
+    same peak RSS. ``train`` and ``eval_logits`` call this; it acts once per
+    process, as repeating it per call slowed training. No-op without glibc.
     """
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -263,6 +263,7 @@ def eval_logits(
     batch_size: int = 64,
 ) -> np.ndarray:
     """Forward the whole split with dropout off and no gradient tape."""
+    retain_freed_memory()
     chunks = []
     for sl in _batch_slices(len(split), batch_size):
         batch = SequenceBatch(

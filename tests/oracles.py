@@ -216,3 +216,18 @@ def backward_zero_fill_ref(tape, loss):
             if g is not None and t.requires_grad:
                 assert g.shape == t.data.shape, rec.op
                 t.grad += g
+
+
+# The branching numpy forms ``ops.UNARY`` used for its ELU and leaky ReLU
+# before it went branchless: (forward, derivative) per tag. The branchless
+# forms must give these bit for bit.
+WHERE_ACTIVATIONS = {
+    "elu": (
+        lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))),
+        lambda x: np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0))),
+    ),
+    "leaky_relu": (
+        lambda x: np.where(x > 0, x, 0.2 * x),
+        lambda x: np.where(x > 0, 1.0, 0.2),
+    ),
+}

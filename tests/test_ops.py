@@ -59,6 +59,19 @@ def test_activation_values():
         assert np.allclose(got, want), tag
 
 
+@pytest.mark.parametrize("tag", sorted(oracles.WHERE_ACTIVATIONS))
+def test_branchless_activations_match_where_forms_bit_for_bit(tag):
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               1e-300, -1e-300, -745.2, -746.0, 710.0]
+    x = np.concatenate([rng.normal(0.0, s, 4096) for s in (1e-3, 1.0, 300.0)] + [special])
+    fn, dfn = ops.UNARY[tag]
+    want_fn, want_dfn = oracles.WHERE_ACTIVATIONS[tag]
+    y = fn(x)
+    assert np.array_equal(y.view(np.int64), want_fn(x).view(np.int64))
+    assert np.array_equal(dfn(x, y).view(np.int64), want_dfn(x).view(np.int64))
+
+
 def test_elementwise_unknown_tag():
     with pytest.raises(ValueError, match="unknown elementwise tag"):
         ops.elementwise("swish", rand((2,)))

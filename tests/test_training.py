@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import os
 import platform
 import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +440,35 @@ def test_retain_freed_memory_keeps_freed_pages_mapped():
     churn()
     # glibc's defaults trim the freed top and fault about 4000 pages back in
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+_EVAL_TWICE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from skelgru.data import PreparedSplit
+    from skelgru.graph import chain_topology
+    from skelgru.model import ModelConfig, init_model_params
+    from skelgru.training import eval_logits
+    config = ModelConfig(stages=4, heads=4, hidden=32, seq_len=32, n_nodes=9, classes=5)
+    rng = np.random.default_rng(0)
+    batch = PreparedSplit(rng.normal(size=(32, 32, 9, 2)), np.ones((32, 32), bool),
+                          rng.integers(0, 5, 32))
+    params = init_model_params(config, seed=0)
+    eval_logits(params, config, chain_topology(9), batch, batch_size=32)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    eval_logits(params, config, chain_topology(9), batch, batch_size=32)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_eval_logits_runs_on_the_retained_heap_in_a_fresh_process():
+    # a fresh interpreter, because any earlier train call or test in this
+    # process has already set the policy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _EVAL_TWICE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # with glibc's defaults a desk batch faults about 12k freed pages back in
+    assert int(proc.stdout) < 200
