@@ -67,12 +67,6 @@ class SkeletonTopology:
             a[i, j] = a[j, i] = 1.0
         return a
 
-    def closed_neighborhood(self) -> np.ndarray:
-        """Boolean [N, N]: adjacency plus the diagonal."""
-        m = self.adjacency().astype(bool)
-        np.fill_diagonal(m, True)
-        return m
-
     @cached_property
     def neighbor_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed neighborhoods padded to the largest closed degree D:
@@ -111,15 +105,6 @@ _UPPER17_EDGES = (
 def default_17_topology() -> SkeletonTopology:
     """17 upper-body keypoints (head, arms, hands, torso); the shipped default."""
     return SkeletonTopology(17, _UPPER17_EDGES, _UPPER17_NAMES)
-
-
-def write_topology_file(topo: SkeletonTopology, path) -> None:
-    lines = [f"n_nodes {topo.n_nodes}"]
-    lines += [f"edge {i} {j}" for i, j in topo.edges]
-    if topo.names is not None:
-        lines += [f"name {i} {n}" for i, n in enumerate(topo.names)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_topology_file(path) -> SkeletonTopology:
@@ -204,8 +189,9 @@ class GATLayerParams:
 def _attend(params: GATLayerParams, h: Tensor, topo: SkeletonTopology):
     """All heads' attention, feature-major with the M frames last: W_cat
     [d_in, K*d], the block-diagonal scorer [2K, K*d], the input view
-    [N, d_in, M], projections P [N, K*d, M], and the weights alpha and
-    leaky-ReLU slopes [N, D, K, M] over the D padded neighbor slots."""
+    [N, d_in, M], projections P [N, K*d, M], and over the D padded neighbor
+    slots the weights alpha [N, D, K, M] and the boolean mask of positive
+    pair scores, from which the leaky-ReLU slopes are rebuilt."""
     n, (d_in, d), k = topo.n_nodes, params.w[0].shape, params.heads
     if h.ndim < 2 or h.shape[-2:] != (n, d_in):
         raise ShapeError(f"GAT input {list(h.shape)} does not match [..., {n}, {d_in}]")
@@ -218,12 +204,12 @@ def _attend(params: GATLayerParams, h: Tensor, topo: SkeletonTopology):
     p = np.matmul(w_cat.T, ht)
     s = np.matmul(scorer, p)  # [N, 2K, M]
     e = s[:, None, :k] + s[nbr, k:]
-    slope = ops.UNARY["leaky_relu"][1](e, None)
-    e *= slope
+    pos = e > 0
+    e *= ops.UNARY["leaky_relu"][1](pos)  # the slope reads only the sign
     e[pad] = -np.inf
     alpha = np.exp(e - e.max(axis=1, keepdims=True))
     alpha /= alpha.sum(axis=1, keepdims=True)
-    return w_cat, scorer, ht, p, alpha, slope
+    return w_cat, scorer, ht, p, alpha, pos
 
 
 def gat_coefficients(params: GATLayerParams, head: int, h: Tensor, topo: SkeletonTopology) -> Tensor:
@@ -242,13 +228,15 @@ def gat_coefficients(params: GATLayerParams, head: int, h: Tensor, topo: Skeleto
 def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: str = "elu") -> Tensor:
     """Per head, each node becomes the attention-weighted sum of projected
     closed-neighborhood features; heads are concatenated, then activated.
-    Records one tape op over (h, w_0..w_{K-1}, a_0..a_{K-1}); with no tape,
+    Records one tape op over (h, w_0..w_{K-1}, a_0..a_{K-1}); its backward
+    keeps P, alpha, the mask of positive pair scores and the output, which
+    gives the activation's derivative, but no pre-activation. With no tape,
     or nothing tracked, it keeps no intermediates and returns the same bits.
     """
     if act not in ops.UNARY:
         raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
     fn, dfn = ops.UNARY[act]
-    w_cat, scorer, ht, p, alpha, slope = _attend(params, h, topo)
+    w_cat, scorer, ht, p, alpha, pos = _attend(params, h, topo)
     nbr, pad = topo.neighbor_slots
     (n, kd, m), k = p.shape, params.heads
     p4 = p.reshape(n, k, -1, m)
@@ -262,7 +250,7 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     tape = active_tape()
     taped = tape is not None and any(t.requires_grad for t in ins)
     if not taped:
-        del p, p4, alpha, slope
+        del p, p4, alpha, pos
     x = np.ascontiguousarray(z.reshape(n, kd, m).transpose(2, 0, 1))  # [M, N, K*d]
     del z
     out = Tensor(fn(x).reshape(h.shape[:-1] + (kd,)))
@@ -270,14 +258,14 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
         return out
 
     def back(grad):
-        dx = grad.reshape(x.shape) * dfn(x, out.data.reshape(x.shape))
+        dx = grad.reshape(m, n, kd) * dfn(out.data.reshape(m, n, kd))
         dz = np.ascontiguousarray(dx.transpose(1, 2, 0)).reshape(p4.shape)
         d_alpha, d_p = np.zeros_like(alpha), np.zeros_like(dz)
         for v, j, u in pairs:
             d_alpha[v, j] = (dz[v] * p4[u]).sum(axis=1)
             d_p[u] += alpha[v, j, :, None] * dz[v]
         d_e = d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True)
-        d_e *= alpha * slope
+        d_e *= alpha * ops.UNARY["leaky_relu"][1](pos)
         d_s = np.concatenate((d_e.sum(axis=1), np.zeros((n, k, m))), axis=1)
         for v, j, u in pairs:
             d_s[u, k:] += d_e[v, j]

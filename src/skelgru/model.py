@@ -68,8 +68,8 @@ class ModelConfig:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.norm_epsilon <= 0:
-            raise ValueError(f"norm_epsilon must be positive, got {self.norm_epsilon}")
+        if not 0 < self.norm_epsilon < np.inf:  # NaN fails this test
+            raise ValueError(f"norm_epsilon must be finite and positive, got {self.norm_epsilon}")
         if self.fc_width < 0:
             raise ValueError(f"fc_width must be >= 0, got {self.fc_width}")
 

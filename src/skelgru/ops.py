@@ -140,18 +140,21 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # pointwise
 
+# (forward of x, derivative from the output y): every derivative reads y alone,
+# so a backward saves the output, never the input. For the ReLU, leaky ReLU
+# and ELU, y > 0 exactly where x > 0.
 UNARY = {
-    "identity": (lambda x: x, lambda x, y: np.ones_like(x)),
-    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
-    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64)),
+    "identity": (lambda x: x, np.ones_like),
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda y: y * (1.0 - y)),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(np.float64)),
     # branchless: expm1(x) >= x and 0.2 * x >= x for x <= 0, so max gives where(x > 0, ...)
     "elu": (
         lambda x: np.maximum(x, np.expm1(np.minimum(x, 0.0))),
-        lambda x, y: np.exp(np.minimum(x, 0.0)),
+        lambda y: np.minimum(y, 0.0) + 1.0,  # expm1(x) + 1: exp(x) up to rounding
     ),
     # slope 0.2, as in the GAT paper (Velickovic et al. 2018)
-    "leaky_relu": (lambda x: np.maximum(x, 0.2 * x), lambda x, y: (x > 0) * 0.8 + 0.2),
+    "leaky_relu": (lambda x: np.maximum(x, 0.2 * x), lambda y: (y > 0) * 0.8 + 0.2),
 }
 
 _BINARY = {
@@ -163,15 +166,15 @@ _BINARY = {
 
 def elementwise(tag: str, *args: Tensor) -> Tensor:
     """Tagged pointwise op: unary activations plus same-shape add/mul/sub.
-    Layers name their activation by one of these tags."""
+    Layers name their activation by one of these tags. A unary record's
+    backward keeps only its output; a binary one keeps both operands."""
     if tag in UNARY and len(args) == 1:
         (x,) = args
         fn, dfn = UNARY[tag]
         y = fn(x.data)
-        xd = x.data
 
-        def back(g, _dfn=dfn, _xd=xd, _y=y):
-            return (g * _dfn(_xd, _y),)
+        def back(g, _dfn=dfn, _y=y):
+            return (g * _dfn(_y),)
 
         return _emit(tag, (x,), y, back)
     if tag in _BINARY and len(args) == 2:

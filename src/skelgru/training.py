@@ -71,14 +71,15 @@ class AdamWState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # each test is written so that NaN fails it
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError(f"betas must be in [0, 1), got ({self.beta1}, {self.beta2})")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.step < 0:
             raise ValueError(f"step must be >= 0, got {self.step}")
 

@@ -219,8 +219,8 @@ def backward_zero_fill_ref(tape, loss):
 
 
 # The branching numpy forms ``ops.UNARY`` used for its ELU and leaky ReLU
-# before it went branchless: (forward, derivative) per tag. The branchless
-# forms must give these bit for bit.
+# before it went branchless: (forward, derivative of x) per tag. The
+# branchless forwards must give these bit for bit.
 WHERE_ACTIVATIONS = {
     "elu": (
         lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))),
@@ -230,4 +230,11 @@ WHERE_ACTIVATIONS = {
         lambda x: np.where(x > 0, x, 0.2 * x),
         lambda x: np.where(x > 0, 1.0, 0.2),
     ),
+}
+
+# The same derivatives written as functions of the output y, as
+# ``ops.UNARY`` computes them; for the ELU, y + 1 = expm1(x) + 1.
+WHERE_OUTPUT_DERIVATIVES = {
+    "elu": lambda y: np.where(y > 0, 1.0, y + 1.0),
+    "leaky_relu": lambda y: np.where(y > 0, 1.0, 0.2),
 }

@@ -115,6 +115,16 @@ class TestTrain:
         assert run("synth", *args) == EXIT_OK
         assert run("train", *args) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [("optim.lr", "nan"), ("optim.eps", "inf"),
+                                            ("model.norm_eps", "nan")])
+    def test_non_finite_setting_is_config_error_before_any_step(self, tmp_path, capsys, key, value):
+        args = tiny_overrides(tmp_path, **{key: value})
+        assert run("synth", *args) == EXIT_OK
+        assert run("train", *args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be finite" in err and f"got {value}" in err
+        assert not (tmp_path / "run/train_log.jsonl").exists()  # train() opens it first
+
     def test_resume_from_compatible_checkpoint(self, tmp_path):
         args = synth_and_train(tmp_path)
         ckpt = tmp_path / "run/best.ckpt"

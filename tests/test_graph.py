@@ -1,5 +1,7 @@
 """Topology handling and the two spatial layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from skelgru.graph import (
     gcn_forward,
     read_topology_file,
     resolve_topology,
-    write_topology_file,
 )
 from skelgru.cells import RNNCellParams, dense_forward
 from skelgru.tensor import ShapeError, Tape, Tensor, first_invalid_record
@@ -29,6 +30,18 @@ RNG = np.random.default_rng(20240812)
 
 def rand(shape, grad=False, scale=1.0):
     return Tensor(RNG.normal(0.0, scale, shape), requires_grad=grad)
+
+
+def topology_text(topo):
+    """The topology file format that :func:`read_topology_file` parses."""
+    lines = [f"n_nodes {topo.n_nodes}", *(f"edge {i} {j}" for i, j in topo.edges)]
+    lines += [f"name {i} {name}" for i, name in enumerate(topo.names or ())]
+    return "\n".join(lines) + "\n"
+
+
+def closed_neighborhood(topo):
+    """Boolean [N, N]: adjacency plus the diagonal."""
+    return topo.adjacency().astype(bool) | np.eye(topo.n_nodes, dtype=bool)
 
 
 def random_gat_params(d_in, d_head, heads=1, grad=False):
@@ -82,7 +95,7 @@ def test_canonical_hash_ignores_edge_order_and_direction():
 def test_topology_file_round_trip(tmp_path):
     topo = default_17_topology()
     path = tmp_path / "topo.txt"
-    write_topology_file(topo, path)
+    path.write_text(topology_text(topo), encoding="utf-8")
     back = read_topology_file(path)
     assert back == topo
     assert back.canonical_hash() == topo.canonical_hash()
@@ -105,7 +118,7 @@ def test_resolve_topology_specs(tmp_path):
     assert resolve_topology("upper17").n_nodes == 17
     assert resolve_topology("chain:5").edges == ((0, 1), (1, 2), (2, 3), (3, 4))
     path = tmp_path / "t.txt"
-    write_topology_file(chain_topology(3), path)
+    path.write_text(topology_text(chain_topology(3)), encoding="utf-8")
     assert resolve_topology(str(path)).n_nodes == 3
 
 
@@ -226,7 +239,7 @@ def test_gat_uniform_alpha_on_identical_features():
     params = random_gat_params(3, 2)
     h = Tensor(np.tile([0.3, -1.2, 0.7], (4, 1)))
     alpha = gat_coefficients(params, 0, h, topo).data
-    closed = topo.closed_neighborhood()
+    closed = closed_neighborhood(topo)
     for v in range(4):
         k = closed[v].sum()
         assert np.allclose(alpha[v][closed[v]], 1.0 / k, atol=1e-12)
@@ -244,7 +257,8 @@ def test_gat_rows_sum_to_one_and_mask_is_exact():
     topo = default_17_topology()
     alpha = gat_coefficients(random_gat_params(3, 4), 0, rand((17, 3)), topo).data
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
-    assert np.array_equal(alpha[~topo.closed_neighborhood()], np.zeros((~topo.closed_neighborhood()).sum()))
+    outside = ~closed_neighborhood(topo)
+    assert np.array_equal(alpha[outside], np.zeros(outside.sum()))
 
 
 def test_gat_star_matches_loop_oracle():
@@ -286,7 +300,7 @@ def test_gat_constant_shift_with_zero_weights_gives_uniform_alpha():
     params = GATLayerParams(heads=1, w=[Tensor(np.zeros((3, 2)))], a=[rand((4,))])
     h = Tensor(rand((4, 3)).data + 7.5)
     alpha = gat_coefficients(params, 0, h, topo).data
-    closed = topo.closed_neighborhood()
+    closed = closed_neighborhood(topo)
     for v in range(4):
         assert np.allclose(alpha[v][closed[v]], 1.0 / closed[v].sum(), atol=1e-15)
 
@@ -386,6 +400,34 @@ def test_gat_layer_without_tape_records_nothing_and_keeps_bits():
         untracked = gat_forward(random_gat_params(3, 2, heads=2), rand((2, 3, 5, 3)), topo)
     assert taped.requires_grad and not untaped.requires_grad
     assert len(tape) == 0 and not untracked.requires_grad
+    assert np.array_equal(taped.data, untaped.data)
+
+
+def test_taped_desk_gat_layer_holds_p_alpha_output_and_a_mask():
+    """One desk-shaped layer ([B=32, T=32, chain:9, H=32], 4 heads) on the
+    tape holds P, alpha, its output and a boolean mask of positive pair
+    scores, and no pre-activation; its output has the untaped bits."""
+    rng = np.random.default_rng(1710)
+    topo, heads, (b, t, n, hid) = chain_topology(9), 4, (32, 32, 9, 32)
+    params = GATLayerParams(
+        heads=heads,
+        w=[Tensor(rng.normal(0, 0.3, (hid, hid // heads)), requires_grad=True) for _ in range(heads)],
+        a=[Tensor(rng.normal(0, 0.3, (2 * hid // heads,)), requires_grad=True) for _ in range(heads)],
+    )
+    h = Tensor(rng.normal(0, 1, (b, t, n, hid)), requires_grad=True)
+    untaped = gat_forward(params, h, topo)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            taped = gat_forward(params, h, topo)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    slots = n * topo.neighbor_slots[0].shape[1] * heads * b * t  # [N, D, K, M]
+    p_bytes = n * hid * b * t * 8
+    assert held <= 1.05 * (p_bytes + slots * 8 + taped.data.nbytes + slots)
     assert np.array_equal(taped.data, untaped.data)
 
 

@@ -84,6 +84,9 @@ def test_config_validation():
         ModelConfig(dropout_rate=1.0)
     with pytest.raises(ValueError):
         ModelConfig(seq_len=0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="norm_epsilon"):
+            ModelConfig(norm_epsilon=eps)
 
 
 def test_config_derived_widths():

@@ -10,45 +10,48 @@ from skelgru import ops
 from skelgru.gradcheck import finite_diff_check
 from skelgru.tensor import MaskError, ShapeError, Tape, Tensor, backward, first_invalid_record
 
-RNG = np.random.default_rng(20240811)
+@pytest.fixture
+def rng():
+    """A generator of the test's own, so that no test's draws move another's inputs."""
+    return np.random.default_rng(20240811)
 
 
-def rand(shape, scale=1.0):
-    return Tensor(RNG.normal(0.0, scale, shape), requires_grad=True)
+def rand(rng, shape, scale=1.0):
+    return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
 # forward values
 
-def test_matmul_matches_numpy_and_rejects_bad_shapes():
-    a, b = rand((3, 4)), rand((4, 5))
+def test_matmul_matches_numpy_and_rejects_bad_shapes(rng):
+    a, b = rand(rng, (3, 4)), rand(rng, (4, 5))
     assert np.allclose(ops.matmul(a, b).data, a.data @ b.data)
     with pytest.raises(ShapeError):
-        ops.matmul(rand((3, 4)), rand((3, 5)))
+        ops.matmul(rand(rng, (3, 4)), rand(rng, (3, 5)))
     with pytest.raises(ShapeError):
-        ops.matmul(rand((4,)), rand((4, 2)))
+        ops.matmul(rand(rng, (4,)), rand(rng, (4, 2)))
 
 
-def test_matmul_stacked_batches():
-    a, b = rand((6, 3, 4)), rand((4, 2))
+def test_matmul_stacked_batches(rng):
+    a, b = rand(rng, (6, 3, 4)), rand(rng, (4, 2))
     out = ops.matmul(a, b)
     assert out.shape == (6, 3, 2)
     for i in range(6):
         assert np.allclose(out.data[i], a.data[i] @ b.data)
 
 
-def test_binary_ops_reject_broadcasting():
+def test_binary_ops_reject_broadcasting(rng):
     with pytest.raises(ShapeError):
-        ops.add(rand((3, 4)), rand((4,)))
+        ops.add(rand(rng, (3, 4)), rand(rng, (4,)))
     with pytest.raises(ShapeError):
-        ops.mul(rand((3, 1)), rand((3, 4)))
+        ops.mul(rand(rng, (3, 1)), rand(rng, (3, 4)))
 
 
-def test_add_bias_broadcasts_over_leading_axes():
-    x, b = rand((2, 3, 4)), rand((4,))
+def test_add_bias_broadcasts_over_leading_axes(rng):
+    x, b = rand(rng, (2, 3, 4)), rand(rng, (4,))
     assert np.allclose(ops.add_bias(x, b).data, x.data + b.data)
     with pytest.raises(ShapeError):
-        ops.add_bias(x, rand((3,)))
+        ops.add_bias(x, rand(rng, (3,)))
 
 
 def test_activation_values():
@@ -69,16 +72,22 @@ def test_branchless_activations_match_where_forms_bit_for_bit(tag):
     want_fn, want_dfn = oracles.WHERE_ACTIVATIONS[tag]
     y = fn(x)
     assert np.array_equal(y.view(np.int64), want_fn(x).view(np.int64))
-    assert np.array_equal(dfn(x, y).view(np.int64), want_dfn(x).view(np.int64))
+    d, ref = dfn(y), want_dfn(x)
+    assert np.array_equal(d.view(np.int64), oracles.WHERE_OUTPUT_DERIVATIVES[tag](y).view(np.int64))
+    if tag == "leaky_relu":
+        assert np.array_equal(d.view(np.int64), ref.view(np.int64))
+    else:  # expm1(x) + 1 rounds apart from exp(x); relative gaps reach 1 where exp(x) is subnormal
+        assert np.array_equal(np.isnan(d), np.isnan(ref))
+        assert np.nanmax(np.abs(d - ref)) <= 2.0**-53
 
 
-def test_elementwise_unknown_tag():
+def test_elementwise_unknown_tag(rng):
     with pytest.raises(ValueError, match="unknown elementwise tag"):
-        ops.elementwise("swish", rand((2,)))
+        ops.elementwise("swish", rand(rng, (2,)))
 
 
-def test_index_and_slice_axis():
-    x = rand((4, 3, 2))
+def test_index_and_slice_axis(rng):
+    x = rand(rng, (4, 3, 2))
     assert np.allclose(ops.index_axis(x, 0, 2).data, x.data[2])
     assert np.allclose(ops.slice_axis(x, 1, 1, 3).data, x.data[:, 1:3])
     with pytest.raises(ShapeError):
@@ -106,32 +115,33 @@ def test_softmax_requires_2d():
         ops.softmax_rows(Tensor([1.0, 2.0]))
 
 
-def test_residual_norm_matches_oracle():
-    block, x, g, b = rand((2, 5, 7)), rand((2, 5, 7), scale=3.0), rand((7,)), rand((7,))
+def test_residual_norm_matches_oracle(rng):
+    block, x, g, b = rand(rng, (2, 5, 7)), rand(rng, (2, 5, 7), scale=3.0), rand(rng, (7,)), rand(rng, (7,))
     out = ops.residual_norm(block, x, g, b, eps=1e-5).data.reshape(-1, 7)
     for i, row in enumerate((block.data + x.data).reshape(-1, 7)):
         want = oracles.layer_norm_ref(row, g.data, b.data, 1e-5)
         assert np.abs(out[i] - want).max() <= 1e-12
 
 
-def test_residual_norm_rejects_bad_shapes():
-    g, b = rand((7,)), rand((7,))
-    for args in ((rand((3, 7)), rand((4, 7)), g, b), (rand((3, 7)), rand((3, 7)), rand((6,)), b),
-                 (rand((3, 7)), rand((3, 7)), g, rand((7, 1)))):
+def test_residual_norm_rejects_bad_shapes(rng):
+    g, b = rand(rng, (7,)), rand(rng, (7,))
+    for args in ((rand(rng, (3, 7)), rand(rng, (4, 7)), g, b),
+                 (rand(rng, (3, 7)), rand(rng, (3, 7)), rand(rng, (6,)), b),
+                 (rand(rng, (3, 7)), rand(rng, (3, 7)), g, rand(rng, (7, 1)))):
         with pytest.raises(ShapeError, match="residual_norm"):
             ops.residual_norm(*args, eps=1e-5)
 
 
-def test_residual_norm_names_nan_input_record():
-    x = rand((3, 4))
+def test_residual_norm_names_nan_input_record(rng):
+    x = rand(rng, (3, 4))
     x.data[1, 2] = np.nan
     with Tape() as tape:
-        out = ops.residual_norm(rand((3, 4)), x, rand((4,)), rand((4,)), eps=1e-5)
+        out = ops.residual_norm(rand(rng, (3, 4)), x, rand(rng, (4,)), rand(rng, (4,)), eps=1e-5)
     assert first_invalid_record(tape) == f"residual_norm#{out.tid}"
 
 
-def test_residual_norm_without_tape_records_nothing_and_keeps_bits():
-    block, x, g, b = rand((4, 3, 6)), rand((4, 3, 6)), rand((6,)), rand((6,))
+def test_residual_norm_without_tape_records_nothing_and_keeps_bits(rng):
+    block, x, g, b = rand(rng, (4, 3, 6)), rand(rng, (4, 3, 6)), rand(rng, (6,)), rand(rng, (6,))
     with Tape() as tape:
         taped = ops.residual_norm(block, x, g, b, eps=1e-5)
     assert [rec.op for rec in tape.records] == ["residual_norm"]
@@ -144,20 +154,20 @@ def test_residual_norm_without_tape_records_nothing_and_keeps_bits():
     assert len(tape) == 0 and np.array_equal(untracked.data, taped.data)
 
 
-def test_cross_entropy_matches_oracle():
-    logits = rand((6, 4), scale=3.0)
+def test_cross_entropy_matches_oracle(rng):
+    logits = rand(rng, (6, 4), scale=3.0)
     labels = np.array([0, 1, 2, 3, 1, 2])
     loss = ops.cross_entropy(logits, labels)
     assert np.isclose(loss.item(), oracles.cross_entropy_ref(logits.data, labels))
 
 
-def test_cross_entropy_rejects_bad_labels():
+def test_cross_entropy_rejects_bad_labels(rng):
     with pytest.raises(ValueError, match="label out of range"):
-        ops.cross_entropy(rand((2, 3)), np.array([0, 3]))
+        ops.cross_entropy(rand(rng, (2, 3)), np.array([0, 3]))
 
 
-def test_dropout_inference_is_identity_object():
-    x = rand((4, 4))
+def test_dropout_inference_is_identity_object(rng):
+    x = rand(rng, (4, 4))
     assert ops.dropout(x, 0.5, training=False) is x
     assert ops.dropout(x, 0.0, training=True) is x
 
@@ -171,11 +181,11 @@ def test_dropout_training_scales_survivors():
     assert abs((y.data == 0).mean() - 0.25) < 0.06
 
 
-def test_dropout_validates_rate_and_rng():
+def test_dropout_validates_rate_and_rng(rng):
     with pytest.raises(ValueError):
-        ops.dropout(rand((2,)), 1.0, training=True)
+        ops.dropout(rand(rng, (2,)), 1.0, training=True)
     with pytest.raises(ValueError):
-        ops.dropout(rand((2,)), 0.5, training=True)
+        ops.dropout(rand(rng, (2,)), 0.5, training=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +202,12 @@ def _matmul_record_grads(a, b):
     return tape.records[0].backward_fn(np.cos(out.data))
 
 
-def test_grad_matmul():
-    a, b = rand((3, 4)), rand((4, 2))
+def test_grad_matmul(rng):
+    a, b = rand(rng, (3, 4)), rand(rng, (4, 2))
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.matmul(a, b))), a)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.matmul(a, b))), b)
     # an operand untracked when the product is recorded gets no gradient,
-    # and the tracked one's is the same bits as when both are tracked; a
-    # local generator leaves the draws of later tests as they were
-    rng = np.random.default_rng(7)
+    # and the tracked one's is the same bits as when both are tracked
     for sa, sb in (((3, 4), (4, 2)), ((5, 3, 4), (4, 2)), ((3, 3), (5, 3, 2))):
         a = Tensor(rng.normal(0.0, 1.0, sa), requires_grad=True)
         b = Tensor(rng.normal(0.0, 1.0, sb), requires_grad=True)
@@ -210,53 +218,53 @@ def test_grad_matmul():
         assert np.array_equal(got_a, want[0]) and np.array_equal(got_b, want[1])
 
 
-def test_grad_matmul_batched():
-    a, b = rand((5, 3, 4)), rand((4, 2))
+def test_grad_matmul_batched(rng):
+    a, b = rand(rng, (5, 3, 4)), rand(rng, (4, 2))
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.matmul(a, b))), b)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.matmul(a, b))), a)
 
 
-def test_grad_unary_activations():
+def test_grad_unary_activations(rng):
     for tag in ("sigmoid", "tanh", "elu", "identity"):
-        x = rand((3, 3))
+        x = rand(rng, (3, 3))
         check_grad(lambda tag=tag, x=x: ops.sum_all(ops.elementwise(tag, x)), x)
 
 
-def test_grad_leaky_relu_away_from_kink():
-    x = Tensor(RNG.choice([-1.5, -0.7, 0.6, 1.4], size=(4, 4)), requires_grad=True)
+def test_grad_leaky_relu_away_from_kink(rng):
+    x = Tensor(rng.choice([-1.5, -0.7, 0.6, 1.4], size=(4, 4)), requires_grad=True)
     check_grad(lambda: ops.sum_all(ops.elementwise("leaky_relu", x)), x)
 
 
-def test_grad_binary_and_scale():
-    a, b = rand((3, 2)), rand((3, 2))
+def test_grad_binary_and_scale(rng):
+    a, b = rand(rng, (3, 2)), rand(rng, (3, 2))
     check_grad(lambda: ops.sum_all(ops.mul(ops.add(a, b), ops.sub(a, b))), a)
     check_grad(lambda: ops.sum_all(ops.scale(a, -1.7)), a)
 
 
-def test_grad_structural_ops():
-    x = rand((4, 3))
+def test_grad_structural_ops(rng):
+    x = rand(rng, (4, 3))
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.transpose(x))), x)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.reshape(x, (2, 6)))), x)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.index_axis(x, 0, 1))), x)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.slice_axis(x, 1, 0, 2))), x)
 
 
-def test_grad_concat_stack():
-    a, b = rand((2, 3)), rand((2, 3))
+def test_grad_concat_stack(rng):
+    a, b = rand(rng, (2, 3)), rand(rng, (2, 3))
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.concat((a, b), axis=1))), a)
     check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.stack((a, b), axis=0))), b)
 
 
-def test_grad_add_bias():
-    x, b = rand((3, 4)), rand((4,))
+def test_grad_add_bias(rng):
+    x, b = rand(rng, (3, 4)), rand(rng, (4,))
     check_grad(lambda: ops.sum_all(ops.elementwise("sigmoid", ops.add_bias(x, b))), b)
 
 
-def test_grad_softmax_with_mask():
-    x = rand((3, 4))
-    mask = Tensor(np.where(RNG.random((3, 4)) < 0.3, -np.inf, 0.0))
+def test_grad_softmax_with_mask(rng):
+    x = rand(rng, (3, 4))
+    mask = Tensor(np.where(rng.random((3, 4)) < 0.3, -np.inf, 0.0))
     mask.data[:, 0] = 0.0  # keep every row alive
-    w = rand((3, 4))
+    w = rand(rng, (3, 4))
 
     def f():
         y = ops.softmax_rows(ops.add(x, mask))
@@ -265,8 +273,9 @@ def test_grad_softmax_with_mask():
     check_grad(f, x)
 
 
-def test_grad_residual_norm():
-    block, x, g, b, w = rand((2, 4, 6)), rand((2, 4, 6)), rand((6,)), rand((6,)), rand((2, 4, 6))
+def test_grad_residual_norm(rng):
+    block, x, g, b = rand(rng, (2, 4, 6)), rand(rng, (2, 4, 6)), rand(rng, (6,)), rand(rng, (6,))
+    w = rand(rng, (2, 4, 6))
 
     def f():
         return ops.sum_all(ops.mul(ops.residual_norm(block, x, g, b, eps=1e-5), w))
@@ -275,14 +284,14 @@ def test_grad_residual_norm():
         check_grad(f, param)
 
 
-def test_grad_cross_entropy():
-    logits = rand((5, 3))
+def test_grad_cross_entropy(rng):
+    logits = rand(rng, (5, 3))
     labels = np.array([0, 2, 1, 1, 0])
     check_grad(lambda: ops.cross_entropy(logits, labels), logits)
 
 
-def test_grad_dropout_fixed_mask():
-    x = rand((6, 6))
+def test_grad_dropout_fixed_mask(rng):
+    x = rand(rng, (6, 6))
 
     def f():
         rng = np.random.default_rng(123)  # same mask every call

@@ -162,6 +162,10 @@ class TestAdamW:
             AdamWState(lr=1e-3, eps=0.0)
         with pytest.raises(ValueError):
             AdamWState(lr=1e-3, weight_decay=-1e-5)
+        for bad in ({"lr": np.nan}, {"lr": np.inf}, {"eps": np.nan}, {"eps": np.inf},
+                    {"weight_decay": np.nan}, {"weight_decay": np.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                AdamWState(**{"lr": 1e-3, **bad})
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
