@@ -130,8 +130,11 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
                     raise DataFormatError(f"{path}:{lineno}: invalid record: {exc}") from None
                 if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
                     raise DataFormatError(f"{path}:{lineno}: record needs id, label, frames")
+                label = rec["label"]
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise DataFormatError(f"{path}:{lineno}: label {label!r} is not an integer")
                 try:
-                    seq = KeypointSequence(str(rec["id"]), int(rec["label"]), rec["frames"])
+                    seq = KeypointSequence(str(rec["id"]), label, rec["frames"])
                 except (DataFormatError, TypeError, ValueError) as exc:
                     raise DataFormatError(f"{path}:{lineno}: {exc}") from None
                 if seq.n_nodes != topo.n_nodes:
@@ -183,14 +186,17 @@ def preprocess(
     if normalize == "bbox":
         lo = coords.reshape(-1, 2).min(axis=0)
         hi = coords.reshape(-1, 2).max(axis=0)
-        extent = hi - lo
-        if (extent == 0).all():
-            raise PreprocessError(
-                f"sample {seq.id!r}: degenerate bounding box (all joints coincident)"
-            )
-        center = (hi + lo) / 2.0
-        half = np.where(extent > 0, extent / 2.0, 1.0)
-        coords = (coords - center) / half
+        with np.errstate(all="ignore"):  # a non-finite result is caught below
+            extent = hi - lo
+            if (extent == 0).all():
+                raise PreprocessError(
+                    f"sample {seq.id!r}: degenerate bounding box (all joints coincident)"
+                )
+            center = (hi + lo) / 2.0
+            half = np.where(extent > 0, extent / 2.0, 1.0)
+            coords = (coords - center) / half
+        if not (np.isfinite(extent).all() and np.isfinite(coords).all()):
+            raise PreprocessError(f"sample {seq.id!r}: bounding box does not normalize to finite coordinates")
 
     t_raw = coords.shape[0]
     if t_raw > target_t:

@@ -6,10 +6,13 @@ attention layer whose coefficients are a masked softmax over each node's
 closed neighborhood. Both accept a single frame [N, d] or a stack of
 frames [..., N, d] and treat leading axes as independent graphs.
 
-The attention layer (Velickovic et al. 2018, arXiv 1710.10903) is one
-tape record with a hand-written backward. All heads project in one
-matmul and score in one block-diagonal matmul, feature-major with the
-frames last, over a padded table of each node's closed neighborhood.
+Each layer is one tape record with a hand-written backward. The
+convolution (Kipf & Welling 2017, arXiv 1609.02907) keeps only its
+output and recomputes the cheap adj @ h product in backward. The
+attention layer (Velickovic et al. 2018, arXiv 1710.10903) projects all
+heads in one matmul and scores them in one block-diagonal matmul,
+feature-major with the frames last, over a padded table of each node's
+closed neighborhood.
 """
 
 from __future__ import annotations
@@ -158,10 +161,35 @@ def build_normalized_adjacency(topo: SkeletonTopology) -> Tensor:
 
 
 def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
-    """act(adj @ h @ w) for the table ``adj`` of
+    """act(adj @ h @ w) for the untracked table ``adj`` of
     :func:`build_normalized_adjacency`; leading axes of ``h`` are
-    independent frames."""
-    return ops.elementwise(act, ops.matmul(ops.matmul(adj, h), w))
+    independent frames. Records one tape op over (h, w) whose backward
+    keeps only the output, which gives the activation's derivative, and
+    recomputes adj @ h with the forward's call, so every gradient has the
+    bits of the per-op product chain.
+    """
+    if act not in ops.UNARY:
+        raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
+    if adj.requires_grad:
+        raise ValueError("the GCN propagation table must be untracked")
+    if h.ndim < 2 or w.ndim != 2 or h.shape[-2:] != (adj.shape[0], w.shape[0]):
+        raise ShapeError(f"GCN input {list(h.shape)} does not match table {list(adj.shape)} "
+                         f"and weights {list(w.shape)}")
+    fn, dfn = ops.UNARY[act]
+    out = Tensor(fn(np.matmul(np.matmul(adj.data, h.data), w.data)))
+    tape = active_tape()
+    if tape is None or not (h.requires_grad or w.requires_grad):
+        return out
+    ad, hd, wd = adj.data, h.data, w.data
+
+    def back(grad):
+        d = grad * dfn(out.data)
+        d_w = np.matmul(np.swapaxes(np.matmul(ad, hd), -1, -2), d)
+        return np.matmul(ad.T, np.matmul(d, wd.T)), d_w.sum(axis=tuple(range(d_w.ndim - 2)))
+
+    out.requires_grad = True
+    tape.record("gcn_layer", (h, w), out, back)
+    return out
 
 
 @dataclass

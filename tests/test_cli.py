@@ -311,6 +311,22 @@ class TestPredict:
         bad.write_text("{broken\n")
         assert run("predict", str(bad), *args) == EXIT_DATA
 
+    def test_overflowing_coordinates_and_non_integer_labels_are_data_errors(self, tmp_path, capsys):
+        args = synth_and_train(tmp_path)
+        rec = json.loads((tmp_path / "data/val.jsonl").read_text().splitlines()[0])
+        far = [[[1e308 if v == 0 else -1e308, y, c] for v, (_, y, c) in enumerate(frame)]
+               for frame in rec["frames"]]
+        cases = [(dict(rec, frames=far), f"sample {rec['id']!r}: bounding box does not normalize")]
+        cases += [(dict(rec, label=label), f":1: label {label!r} is not an integer")
+                  for label in (1.5, True, "1")]
+        bad = tmp_path / "bad.jsonl"
+        for case, message in cases:
+            bad.write_text(json.dumps(case) + "\n")
+            capsys.readouterr()
+            assert run("predict", str(bad), *args) == EXIT_DATA
+            captured = capsys.readouterr()
+            assert message in captured.err and not captured.out
+
 
 def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(tmp_path, capsys):
     args = synth_and_train(tmp_path)

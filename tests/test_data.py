@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,14 @@ class TestFileFormat:
         with pytest.raises(DataFormatError, match="outside"):
             ingest(path, chain_topology(2), class_count=3)
 
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, "1", None])
+    def test_label_that_is_not_an_integer_reports_line(self, tmp_path, label):
+        path = tmp_path / "data.jsonl"
+        good = {"id": "a", "label": 0, "frames": toy_frames(1, 2).tolist()}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, label=label)) + "\n")
+        with pytest.raises(DataFormatError, match=rf":2: label {label!r} is not an integer"):
+            ingest(path, chain_topology(2))
+
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "data.jsonl"
         rec = {"id": "a", "label": 0, "frames": toy_frames(1, 2).tolist()}
@@ -173,6 +182,18 @@ class TestPreprocess:
         frames = np.ones((3, 2, 3))
         with pytest.raises(PreprocessError, match="degenerate"):
             preprocess(seq("a", 0, frames), 3)
+
+    @pytest.mark.parametrize("x", [(1e308, -1e308), (1e308, 1e308), (0.0, 5e-324)])
+    def test_bbox_that_does_not_normalize_rejected_naming_the_sample(self, x):
+        # an infinite x extent; a zero x extent whose centre (hi + lo) / 2
+        # overflows; an x extent whose half rounds to 0
+        frames = toy_frames(2, 2)
+        frames[:, 0, 0], frames[:, 1, 0] = x
+        frames[0, 0, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreprocessError, match="sample 'far': bounding box does not normalize"):
+                preprocess(seq("far", 0, frames), 2)
 
     def test_degenerate_ok_without_normalization(self):
         frames = np.ones((3, 2, 3))

@@ -23,13 +23,17 @@ from skelgru.graph import (
     resolve_topology,
 )
 from skelgru.cells import RNNCellParams, dense_forward
-from skelgru.tensor import ShapeError, Tape, Tensor, first_invalid_record
-
-RNG = np.random.default_rng(20240812)
+from skelgru.tensor import ShapeError, Tape, Tensor, backward, first_invalid_record
 
 
-def rand(shape, grad=False, scale=1.0):
-    return Tensor(RNG.normal(0.0, scale, shape), requires_grad=grad)
+@pytest.fixture
+def rng():
+    """A generator of the test's own, so that no test's draws move another's inputs."""
+    return np.random.default_rng(20240812)
+
+
+def rand(rng, shape, grad=False):
+    return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=grad)
 
 
 def topology_text(topo):
@@ -44,11 +48,11 @@ def closed_neighborhood(topo):
     return topo.adjacency().astype(bool) | np.eye(topo.n_nodes, dtype=bool)
 
 
-def random_gat_params(d_in, d_head, heads=1, grad=False):
+def random_gat_params(rng, d_in, d_head, heads=1, grad=False):
     return GATLayerParams(
         heads=heads,
-        w=[rand((d_in, d_head), grad) for _ in range(heads)],
-        a=[rand((2 * d_head,), grad) for _ in range(heads)],
+        w=[rand(rng, (d_in, d_head), grad) for _ in range(heads)],
+        a=[rand(rng, (2 * d_head,), grad) for _ in range(heads)],
     )
 
 
@@ -160,9 +164,9 @@ def test_normalized_adjacency_matches_oracle(n, seed):
 # ---------------------------------------------------------------------------
 # GCN
 
-def test_gcn_identity_adjacency_passes_features_through():
+def test_gcn_identity_adjacency_passes_features_through(rng):
     adj = build_normalized_adjacency(SkeletonTopology(3, ()))
-    h = rand((3, 4))
+    h = rand(rng, (3, 4))
     out = gcn_forward(adj, h, Tensor(np.eye(4)), act="identity")
     assert np.allclose(out.data, h.data)
 
@@ -173,39 +177,39 @@ def test_gcn_two_node_complete_example():
     assert np.allclose(out.data, [[0.5, 0.5], [0.5, 0.5]])
 
 
-def test_gcn_zero_weights_zero_output():
+def test_gcn_zero_weights_zero_output(rng):
     adj = build_normalized_adjacency(chain_topology(4))
-    out = gcn_forward(adj, rand((4, 3)), Tensor(np.zeros((3, 2))), act="relu")
+    out = gcn_forward(adj, rand(rng, (4, 3)), Tensor(np.zeros((3, 2))), act="relu")
     assert np.array_equal(out.data, np.zeros((4, 2)))
 
 
-def test_gcn_matches_loop_oracle():
+def test_gcn_matches_loop_oracle(rng):
     topo = chain_topology(5)
     adj = build_normalized_adjacency(topo)
-    h, w = rand((5, 3)), rand((3, 4))
+    h, w = rand(rng, (5, 3)), rand(rng, (3, 4))
     for act in ("identity", "relu", "elu"):
         got = gcn_forward(adj, h, w, act=act).data
         want = oracles.gcn_ref(adj.data, h.data, w.data, act)
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_gcn_on_stacked_frames_equals_per_frame():
+def test_gcn_on_stacked_frames_equals_per_frame(rng):
     adj = build_normalized_adjacency(chain_topology(4))
-    frames = rand((6, 4, 3))
-    w = rand((3, 5))
+    frames = rand(rng, (6, 4, 3))
+    w = rand(rng, (3, 5))
     batched = gcn_forward(adj, frames, w, act="relu").data
     for t in range(6):
         single = gcn_forward(adj, Tensor(frames.data[t]), w, act="relu").data
         assert np.allclose(batched[t], single, atol=1e-14)
 
 
-def test_gcn_with_identity_adjacency_is_the_feedforward_case():
+def test_gcn_with_identity_adjacency_is_the_feedforward_case(rng):
     # edgeless graph + identity activation reduces the spatial layer to a
     # plain dense transform of each node feature
     n, d, h_size = 3, 4, 5
     adj = build_normalized_adjacency(SkeletonTopology(n, ()))
-    w = rand((d, h_size))
-    feats = rand((n, d))
+    w = rand(rng, (d, h_size))
+    feats = rand(rng, (n, d))
     spatial = gcn_forward(adj, feats, w, act="tanh").data
 
     p = RNNCellParams(
@@ -221,22 +225,91 @@ def test_gcn_with_identity_adjacency_is_the_feedforward_case():
         assert np.allclose(spatial[v], hv.data, atol=1e-14)
 
 
-def test_spatial_layers_reject_unknown_activation():
+def test_spatial_layers_reject_unknown_activation(rng):
     topo = chain_topology(3)
-    h = rand((3, 2))
+    h = rand(rng, (3, 2))
     for act in ("gelu", "add"):  # "add" is a tag, but not an activation
         with pytest.raises(ValueError, match=f"'{act}'"):
-            gcn_forward(build_normalized_adjacency(topo), h, rand((2, 2)), act=act)
+            gcn_forward(build_normalized_adjacency(topo), h, rand(rng, (2, 2)), act=act)
     with pytest.raises(ValueError, match="'gelu'"):
-        gat_forward(random_gat_params(2, 2), h, topo, act="gelu")
+        gat_forward(random_gat_params(rng, 2, 2), h, topo, act="gelu")
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 3, 4, 3)])
+@pytest.mark.parametrize("act", sorted(ops.UNARY))
+def test_gcn_layer_matches_per_op_composition_bit_for_bit(act, shape, rng):
+    """One gcn_layer record gives the output and the h and w gradients of
+    the matmul, matmul, activation records it replaces, bit for bit."""
+    adj = build_normalized_adjacency(chain_topology(4))
+    h, w = rand(rng, shape, grad=True), rand(rng, (3, 5), grad=True)
+    weights = rand(rng, shape[:-1] + (5,))
+    results = []
+    for layer in (gcn_forward, lambda a, x, v, f: ops.elementwise(f, ops.matmul(ops.matmul(a, x), v))):
+        with Tape() as tape:
+            out = layer(adj, h, w, act)
+            loss = ops.sum_all(ops.mul(out, weights))
+        backward(tape, loss)
+        results.append((out.data, h.grad, w.grad))
+    for want, got in zip(*results):
+        assert np.array_equal(want, got)
+
+
+def test_gcn_layer_is_one_record_over_h_and_w(rng):
+    adj = build_normalized_adjacency(chain_topology(4))
+    h, w = rand(rng, (2, 3, 4, 3), grad=True), rand(rng, (3, 2), grad=True)
+    with Tape() as tape:
+        out = gcn_forward(adj, h, w)
+        untracked = gcn_forward(adj, rand(rng, (4, 3)), rand(rng, (3, 2)))
+    (rec,) = tape.records
+    assert (rec.op, rec.inputs, rec.output) == ("gcn_layer", (h, w), out)
+    assert not untracked.requires_grad
+
+
+def test_gcn_rejects_tracked_adjacency_and_mismatched_shapes(rng):
+    adj = build_normalized_adjacency(chain_topology(4))
+    tracked = Tensor(adj.data, requires_grad=True)
+    with pytest.raises(ValueError, match="untracked"):
+        gcn_forward(tracked, rand(rng, (4, 3), grad=True), rand(rng, (3, 2), grad=True))
+    for h_shape, w_shape in (((5, 3), (3, 2)), ((4, 3), (2, 2)), ((3,), (3, 2))):
+        with pytest.raises(ShapeError):
+            gcn_forward(adj, rand(rng, h_shape), rand(rng, w_shape))
+
+
+def test_gcn_layer_nan_names_fused_record(rng):
+    h = rand(rng, (2, 4, 3))
+    h.data[1, 2, 0] = np.nan
+    with Tape() as tape:
+        out = gcn_forward(build_normalized_adjacency(chain_topology(4)), h, rand(rng, (3, 2), grad=True))
+    assert first_invalid_record(tape) == f"gcn_layer#{out.tid}"
+
+
+def test_taped_paper_width_gcn_layer_holds_only_its_output():
+    """One paper-width layer ([T=32, B=4, upper17, H=64]) on the tape holds
+    its output and nothing else: no product adj @ h, no pre-activation."""
+    rng = np.random.default_rng(1609)
+    adj = build_normalized_adjacency(default_17_topology())
+    h = Tensor(rng.normal(0, 1, (32, 4, 17, 64)), requires_grad=True)
+    w = Tensor(rng.normal(0, 0.1, (64, 64)), requires_grad=True)
+    untaped = gcn_forward(adj, h, w)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            taped = gcn_forward(adj, h, w)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert held <= 1.05 * taped.data.nbytes
+    assert np.array_equal(taped.data, untaped.data)
 
 
 # ---------------------------------------------------------------------------
 # GAT
 
-def test_gat_uniform_alpha_on_identical_features():
+def test_gat_uniform_alpha_on_identical_features(rng):
     topo = chain_topology(4)
-    params = random_gat_params(3, 2)
+    params = random_gat_params(rng, 3, 2)
     h = Tensor(np.tile([0.3, -1.2, 0.7], (4, 1)))
     alpha = gat_coefficients(params, 0, h, topo).data
     closed = closed_neighborhood(topo)
@@ -246,25 +319,25 @@ def test_gat_uniform_alpha_on_identical_features():
         assert np.array_equal(alpha[v][~closed[v]], np.zeros(4 - k))
 
 
-def test_gat_isolated_node_attends_to_itself():
+def test_gat_isolated_node_attends_to_itself(rng):
     topo = SkeletonTopology(3, ((0, 1),))
-    alpha = gat_coefficients(random_gat_params(2, 3), 0, rand((3, 2)), topo).data
+    alpha = gat_coefficients(random_gat_params(rng, 2, 3), 0, rand(rng, (3, 2)), topo).data
     assert alpha[2, 2] == 1.0
     assert alpha[2, 0] == alpha[2, 1] == 0.0
 
 
-def test_gat_rows_sum_to_one_and_mask_is_exact():
+def test_gat_rows_sum_to_one_and_mask_is_exact(rng):
     topo = default_17_topology()
-    alpha = gat_coefficients(random_gat_params(3, 4), 0, rand((17, 3)), topo).data
+    alpha = gat_coefficients(random_gat_params(rng, 3, 4), 0, rand(rng, (17, 3)), topo).data
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
     outside = ~closed_neighborhood(topo)
     assert np.array_equal(alpha[outside], np.zeros(outside.sum()))
 
 
-def test_gat_star_matches_loop_oracle():
+def test_gat_star_matches_loop_oracle(rng):
     topo = SkeletonTopology(4, ((0, 1), (0, 2), (0, 3)))
-    params = random_gat_params(3, 2)
-    h = rand((4, 3))
+    params = random_gat_params(rng, 3, 2)
+    h = rand(rng, (4, 3))
     alpha = gat_coefficients(params, 0, h, topo).data
     out = gat_forward(params, h, topo, act="identity").data
     want_alpha, want_out = oracles.gat_head_ref(
@@ -295,50 +368,50 @@ def test_gat_multi_head_matches_oracle(seed):
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_gat_constant_shift_with_zero_weights_gives_uniform_alpha():
+def test_gat_constant_shift_with_zero_weights_gives_uniform_alpha(rng):
     topo = chain_topology(4)
-    params = GATLayerParams(heads=1, w=[Tensor(np.zeros((3, 2)))], a=[rand((4,))])
-    h = Tensor(rand((4, 3)).data + 7.5)
+    params = GATLayerParams(heads=1, w=[Tensor(np.zeros((3, 2)))], a=[rand(rng, (4,))])
+    h = Tensor(rand(rng, (4, 3)).data + 7.5)
     alpha = gat_coefficients(params, 0, h, topo).data
     closed = closed_neighborhood(topo)
     for v in range(4):
         assert np.allclose(alpha[v][closed[v]], 1.0 / closed[v].sum(), atol=1e-15)
 
 
-def test_gat_isolated_node_is_pure_self_transform():
+def test_gat_isolated_node_is_pure_self_transform(rng):
     topo = SkeletonTopology(2, ())
-    params = random_gat_params(3, 2)
-    h = rand((2, 3))
+    params = random_gat_params(rng, 3, 2)
+    h = rand(rng, (2, 3))
     out = gat_forward(params, h, topo, act="identity").data
     assert np.allclose(out[0], h.data[0] @ params.w[0].data, atol=1e-14)
 
 
-def test_gat_identical_features_complete_graph_identical_rows():
+def test_gat_identical_features_complete_graph_identical_rows(rng):
     topo = SkeletonTopology(3, ((0, 1), (0, 2), (1, 2)))
-    params = random_gat_params(2, 2, heads=2)
+    params = random_gat_params(rng, 2, 2, heads=2)
     h = Tensor(np.tile([1.1, -0.4], (3, 1)))
     out = gat_forward(params, h, topo, act="elu").data
     assert np.allclose(out[0], out[1]) and np.allclose(out[1], out[2])
 
 
-def test_gat_head_index_validated():
+def test_gat_head_index_validated(rng):
     with pytest.raises(ShapeError):
-        gat_coefficients(random_gat_params(2, 2), 1, rand((3, 2)), chain_topology(3))
+        gat_coefficients(random_gat_params(rng, 2, 2), 1, rand(rng, (3, 2)), chain_topology(3))
 
 
-def test_gat_params_shape_validation():
+def test_gat_params_shape_validation(rng):
     with pytest.raises(ShapeError):
-        GATLayerParams(heads=2, w=[rand((3, 2))], a=[rand((4,)), rand((4,))])
+        GATLayerParams(heads=2, w=[rand(rng, (3, 2))], a=[rand(rng, (4,)), rand(rng, (4,))])
     with pytest.raises(ShapeError):
-        GATLayerParams(heads=1, w=[rand((3, 2))], a=[rand((3,))])
+        GATLayerParams(heads=1, w=[rand(rng, (3, 2))], a=[rand(rng, (3,))])
     with pytest.raises(ShapeError, match="head 0"):
-        GATLayerParams(heads=2, w=[rand((3, 2)), rand((3, 3))], a=[rand((4,)), rand((6,))])
+        GATLayerParams(heads=2, w=[rand(rng, (3, 2)), rand(rng, (3, 3))], a=[rand(rng, (4,)), rand(rng, (6,))])
 
 
-def test_gat_on_stacked_frames_equals_per_frame():
+def test_gat_on_stacked_frames_equals_per_frame(rng):
     topo = chain_topology(4)
-    params = random_gat_params(3, 2, heads=2)
-    frames = rand((5, 4, 3))
+    params = random_gat_params(rng, 3, 2, heads=2)
+    frames = rand(rng, (5, 4, 3))
     batched = gat_forward(params, frames, topo, act="elu").data
     for t in range(5):
         single = gat_forward(params, Tensor(frames.data[t]), topo, act="elu").data
@@ -381,23 +454,23 @@ def test_gat_stacked_frames_on_random_topologies_match_oracle(n, heads, seed):
             assert np.abs(alpha0[b, t] - refs[0][0]).max() <= 1e-12
 
 
-def test_gat_layer_is_one_record():
-    params = random_gat_params(3, 2, heads=2, grad=True)
+def test_gat_layer_is_one_record(rng):
+    params = random_gat_params(rng, 3, 2, heads=2, grad=True)
     with Tape() as tape:
-        gat_forward(params, rand((2, 3, 4, 3)), chain_topology(4))
-        gat_forward(params, rand((4, 3)), chain_topology(4))
+        gat_forward(params, rand(rng, (2, 3, 4, 3)), chain_topology(4))
+        gat_forward(params, rand(rng, (4, 3)), chain_topology(4))
     assert [rec.op for rec in tape.records] == ["gat_layer", "gat_layer"]
 
 
-def test_gat_layer_without_tape_records_nothing_and_keeps_bits():
+def test_gat_layer_without_tape_records_nothing_and_keeps_bits(rng):
     topo = SkeletonTopology(5, ((0, 1), (0, 2), (0, 3)))
-    params = random_gat_params(3, 2, heads=2, grad=True)
-    h = rand((2, 3, 5, 3), grad=True)
+    params = random_gat_params(rng, 3, 2, heads=2, grad=True)
+    h = rand(rng, (2, 3, 5, 3), grad=True)
     with Tape():
         taped = gat_forward(params, h, topo)
     untaped = gat_forward(params, h, topo)
     with Tape() as tape:
-        untracked = gat_forward(random_gat_params(3, 2, heads=2), rand((2, 3, 5, 3)), topo)
+        untracked = gat_forward(random_gat_params(rng, 3, 2, heads=2), rand(rng, (2, 3, 5, 3)), topo)
     assert taped.requires_grad and not untaped.requires_grad
     assert len(tape) == 0 and not untracked.requires_grad
     assert np.array_equal(taped.data, untaped.data)
@@ -431,21 +504,21 @@ def test_taped_desk_gat_layer_holds_p_alpha_output_and_a_mask():
     assert np.array_equal(taped.data, untaped.data)
 
 
-def test_gat_layer_nan_names_fused_record():
-    params = random_gat_params(3, 2, heads=2, grad=True)
-    h = rand((2, 4, 3))
+def test_gat_layer_nan_names_fused_record(rng):
+    params = random_gat_params(rng, 3, 2, heads=2, grad=True)
+    h = rand(rng, (2, 4, 3))
     h.data[1, 2, 0] = np.nan
     with Tape() as tape:
         out = gat_forward(params, h, chain_topology(4))
     assert first_invalid_record(tape) == f"gat_layer#{out.tid}"
 
 
-def test_gat_rejects_input_that_does_not_match_topology_or_projection():
-    params = random_gat_params(3, 2)
+def test_gat_rejects_input_that_does_not_match_topology_or_projection(rng):
+    params = random_gat_params(rng, 3, 2)
     with pytest.raises(ShapeError):
-        gat_forward(params, rand((5, 3)), chain_topology(4))
+        gat_forward(params, rand(rng, (5, 3)), chain_topology(4))
     with pytest.raises(ShapeError):
-        gat_forward(params, rand((4, 2)), chain_topology(4))
+        gat_forward(params, rand(rng, (4, 2)), chain_topology(4))
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +566,36 @@ def test_gat_permutation_equivariance(seed):
 # ---------------------------------------------------------------------------
 # gradients through the spatial layers
 
-def test_gcn_gradients_pass_finite_differences():
+def test_gcn_gradients_pass_finite_differences(rng):
     from skelgru.gradcheck import finite_diff_check
 
     adj = build_normalized_adjacency(chain_topology(4))
-    h = rand((4, 3), grad=True)
-    w = rand((3, 2), grad=True)
+    h = rand(rng, (4, 3), grad=True)
+    w = rand(rng, (3, 2), grad=True)
     f = lambda: ops.sum_all(gcn_forward(adj, h, w, act="elu"))  # noqa: E731
     assert finite_diff_check(f, h) <= 1e-6
     assert finite_diff_check(f, w) <= 1e-6
 
 
-def test_gat_gradients_pass_finite_differences():
+def test_gcn_gradients_on_stacked_frames_pass_finite_differences(rng):
+    from skelgru.gradcheck import finite_diff_check
+
+    adj = build_normalized_adjacency(default_17_topology())
+    h = rand(rng, (2, 3, 17, 4), grad=True)
+    w = rand(rng, (4, 3), grad=True)
+    weights = rand(rng, (2, 3, 17, 3))
+    for act in ("tanh", "elu"):
+        f = lambda act=act: ops.sum_all(ops.mul(gcn_forward(adj, h, w, act=act), weights))  # noqa: E731
+        assert finite_diff_check(f, h) <= 1e-6
+        assert finite_diff_check(f, w) <= 1e-6
+
+
+def test_gat_gradients_pass_finite_differences(rng):
     from skelgru.gradcheck import finite_diff_check
 
     topo = chain_topology(4)
-    params = random_gat_params(3, 2, heads=2, grad=True)
-    h = rand((4, 3), grad=True)
+    params = random_gat_params(rng, 3, 2, heads=2, grad=True)
+    h = rand(rng, (4, 3), grad=True)
     f = lambda: ops.sum_all(gat_forward(params, h, topo, act="elu"))  # noqa: E731
     assert finite_diff_check(f, h) <= 1e-6
     assert finite_diff_check(f, params.w[0]) <= 1e-6

@@ -1,5 +1,6 @@
 """End-to-end architecture: embedding, stages, pooling, head, loss."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -560,6 +561,21 @@ def test_desk_forward_record_count():
     counts = tuple(ops_.count(op) for op in
                    ("gru_sequence", "gat_layer", "residual_norm", "layer_norm", "transpose"))
     assert (len(ops_), *counts) == (39, 4, 4, 4, 0, 1)
+
+
+def test_gcn_forward_record_count():
+    """A one-stage GCN model's inference-mode forward pass is 24 tape
+    records. Its stage is the fused GCN layer, the GRU, their two reshapes
+    and the residual norm: no matmul and no activation record of its own
+    (the per-op GCN layer was three records)."""
+    config = dataclasses.replace(_desk_config(), gnn_kind="gcn", stages=1)
+    params = init_model_params(config, seed=0)
+    with Tape() as tape:
+        model_forward(params, config, random_batch(config, b=1), chain_topology(9))
+    ops_ = [rec.op for rec in tape.records]
+    assert ops_[:7] == ["matmul", "add_bias",  # the embedding
+                        "gcn_layer", "reshape", "gru_sequence", "reshape", "residual_norm"]
+    assert (len(ops_), ops_.count("gcn_layer"), ops_.count("matmul")) == (24, 1, 6)
 
 
 def test_desk_step_gradients_bitwise_match_zero_fill_reference():

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from skelgru import ops
 from skelgru.cells import GRUCellParams, gru_sequence
-from skelgru.graph import GATLayerParams, chain_topology, gat_forward
+from skelgru.graph import GATLayerParams, build_normalized_adjacency, chain_topology, gat_forward, gcn_forward
 from skelgru.tensor import (
     MaskError,
     ShapeError,
@@ -183,7 +183,7 @@ def test_backward_bitwise_matches_zero_fill_on_fan_out():
     assert not unused.grad.any()
 
 
-@pytest.mark.parametrize("op", ["gru_sequence", "gat_layer", "residual_norm"])
+@pytest.mark.parametrize("op", ["gru_sequence", "gat_layer", "gcn_layer", "residual_norm"])
 def test_fused_backward_never_writes_its_incoming_gradient(op):
     """The Record contract for the fused kernels that work in place: handed
     a read-only gradient, each backward must return the same bits as from
@@ -202,6 +202,9 @@ def test_fused_backward_never_writes_its_incoming_gradient(op):
         gat = GATLayerParams(heads, [p(h, h // heads) for _ in range(heads)],
                              [p(2 * h // heads) for _ in range(heads)])
         build = lambda: gat_forward(gat, x, chain_topology(n))  # noqa: E731
+    elif op == "gcn_layer":
+        adj, w = build_normalized_adjacency(chain_topology(n)), p(h, h)
+        build = lambda: gcn_forward(adj, x, w, act="elu")  # noqa: E731
     else:
         block, gain, bias = p(t_len, n, h), p(h), p(h)
         build = lambda: ops.residual_norm(block, x, gain, bias, 1e-5)  # noqa: E731
