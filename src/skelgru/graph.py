@@ -12,7 +12,10 @@ output and recomputes the cheap adj @ h product in backward. The
 attention layer (Velickovic et al. 2018, arXiv 1710.10903) projects all
 heads in one matmul and scores them in one block-diagonal matmul,
 feature-major with the frames last, over a padded table of each node's
-closed neighborhood.
+closed neighborhood; it keeps the attention weights and its output, and
+its backward repeats the projection rather than keep it. Both tables,
+the convolution's and the padded neighborhoods, are built once per
+topology.
 """
 
 from __future__ import annotations
@@ -79,6 +82,14 @@ class SkeletonTopology:
         width = max(map(len, rows))
         nbr = np.array([row + [v] * (width - len(row)) for v, row in enumerate(rows)])
         return nbr, np.arange(width) >= np.array(list(map(len, rows)))[:, None]
+
+    @cached_property
+    def normalized_adjacency(self) -> Tensor:
+        """The GCN's propagation table from :func:`build_normalized_adjacency`,
+        built once and shared by every forward on this topology, so read-only."""
+        table = build_normalized_adjacency(self)
+        table.data.setflags(write=False)
+        return table
 
     def canonical_hash(self) -> str:
         text = f"{self.n_nodes}|" + ",".join(f"{i}-{j}" for i, j in self.edges)
@@ -257,9 +268,11 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     """Per head, each node becomes the attention-weighted sum of projected
     closed-neighborhood features; heads are concatenated, then activated.
     Records one tape op over (h, w_0..w_{K-1}, a_0..a_{K-1}); its backward
-    keeps P, alpha, the mask of positive pair scores and the output, which
-    gives the activation's derivative, but no pre-activation. With no tape,
-    or nothing tracked, it keeps no intermediates and returns the same bits.
+    keeps alpha, the mask of positive pair scores and the output, which
+    gives the activation's derivative, but no projection P, which backward
+    rebuilds with the forward's own matmul and so with the same bits, and no
+    pre-activation. With no tape, or nothing tracked, it keeps no
+    intermediates and returns the same bits.
     """
     if act not in ops.UNARY:
         raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
@@ -277,8 +290,9 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     ins = (h, *params.w, *params.a)
     tape = active_tape()
     taped = tape is not None and any(t.requires_grad for t in ins)
+    del p, p4  # backward rebuilds P
     if not taped:
-        del p, p4, alpha, pos
+        del alpha, pos
     x = np.ascontiguousarray(z.reshape(n, kd, m).transpose(2, 0, 1))  # [M, N, K*d]
     del z
     out = Tensor(fn(x).reshape(h.shape[:-1] + (kd,)))
@@ -286,6 +300,8 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
         return out
 
     def back(grad):
+        p = np.matmul(w_cat.T, ht)  # the forward's call, so the same bits
+        p4 = p.reshape(n, k, -1, m)
         dx = grad.reshape(m, n, kd) * dfn(out.data.reshape(m, n, kd))
         dz = np.ascontiguousarray(dx.transpose(1, 2, 0)).reshape(p4.shape)
         d_alpha, d_p = np.zeros_like(alpha), np.zeros_like(dz)

@@ -7,6 +7,11 @@ spatial layer per frame, then a shared-weight GRU along t per (sample,
 node), read through a reshape; a fused residual layer norm closes the
 stage. Pooling flattens each frame to one N*H vector, scores it with a
 shared linear map, and softmaxes the scores over real frames only.
+
+The embedding and the head's output layer are each one ``linear`` record,
+which keeps its operands but no product, and pooling is one
+``attention_pool`` record, which reads the stream through a view and keeps
+only the attention weights.
 """
 
 from __future__ import annotations
@@ -17,15 +22,9 @@ import numpy as np
 
 from . import ops
 from .cells import GRUCellParams, unroll
-from .graph import (
-    GATLayerParams,
-    SkeletonTopology,
-    build_normalized_adjacency,
-    gat_forward,
-    gcn_forward,
-)
+from .graph import GATLayerParams, SkeletonTopology, gat_forward, gcn_forward
 from .seeding import derive_rng
-from .tensor import MaskError, ShapeError, Tensor
+from .tensor import MaskError, ShapeError, Tensor, active_tape
 
 GNN_KINDS = ("gcn", "gat")
 
@@ -209,10 +208,11 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 
 
 def embed_input(params: ModelParams, batch: SequenceBatch) -> Tensor:
-    """Shared per-node linear map d -> H into the stream [T, B, N, H]; the
-    untracked features are transposed, so the bias sums a contiguous gradient."""
+    """Shared per-node linear map d -> H into the stream [T, B, N, H], one
+    ``linear`` record; the untracked features are transposed first, so the
+    bias sums a contiguous gradient."""
     frames = ops.transpose(batch.features, (1, 0, 2, 3))
-    return ops.add_bias(ops.matmul(frames, params.embed_w), params.embed_b)
+    return ops.linear(frames, params.embed_w, params.embed_b)
 
 
 def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> Tensor:
@@ -225,7 +225,7 @@ def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> T
         raise ShapeError(f"stage input must be [T,B,N,H], got {list(h_in.shape)}")
     t, b, n, h = h_in.shape
     if isinstance(stage.gnn, Tensor):
-        spatial = gcn_forward(build_normalized_adjacency(topo), h_in, stage.gnn, act="relu")
+        spatial = gcn_forward(topo.normalized_adjacency, h_in, stage.gnn, act="relu")
     else:
         spatial = gat_forward(stage.gnn, h_in, topo, act="elu")
     assert spatial.shape == h_in.shape
@@ -240,40 +240,75 @@ def residual_norm_stage(stage: StageParams, h_in: Tensor, topo: SkeletonTopology
 
 
 def _frames_and_weights(
-    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
-) -> tuple[Tensor, Tensor]:
-    """Frames of ``h_final`` [B, T, N, H] flattened to [B, T, N*H], and their
-    attention weights [B, T]: softmax over unmasked frames only."""
+    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray, time_major: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of ``h_final`` ([B, T, N, H], or [T, B, N, H] when
+    ``time_major``) as a [B, T, N*H] view, never a copy, and their attention
+    weights alpha [B, T]: a softmax over unmasked frames only. It makes the
+    numpy calls of the per-op chain (score matmul, bias, mask add, softmax)."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise MaskError(f"sample {bad} has no unmasked frames")
-    b, t, n, h = h_final.shape
+    lead, (n, h) = h_final.shape[:2], h_final.shape[2:]
+    b, t = lead[::-1] if time_major else lead
     if attn_w.shape != (n * h,):
         raise ShapeError(f"attention weights {list(attn_w.shape)} do not match frame width {n * h}")
-    flat = ops.reshape(h_final, (b, t, n * h))
-    scores = ops.add_bias(ops.matmul(flat, ops.reshape(attn_w, (n * h, 1))), attn_b)
-    masked = ops.add(ops.reshape(scores, (b, t)), Tensor(np.where(mask, 0.0, -np.inf)))
-    return flat, ops.softmax_rows(masked)
+    if mask.shape != (b, t):
+        raise ShapeError(f"mask {list(mask.shape)} does not match frames [{b},{t}]")
+    frames = h_final.data.reshape(*lead, n * h)
+    frames = frames.transpose(1, 0, 2) if time_major else frames
+    scores = np.matmul(frames, attn_w.data.reshape(n * h, 1)) + attn_b.data
+    masked = scores.reshape(b, t) + np.where(mask, 0.0, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    return frames, e / e.sum(axis=-1, keepdims=True)
 
 
 def temporal_attention_weights(
     attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
 ) -> Tensor:
-    """Per-frame attention weights [B, T]: softmax over unmasked frames only."""
-    return _frames_and_weights(attn_w, attn_b, h_final, mask)[1]
+    """Per-frame attention weights [B, T] of ``h_final`` [B, T, N, H], untaped:
+    softmax over unmasked frames only."""
+    return Tensor(_frames_and_weights(attn_w, attn_b, h_final, mask, time_major=False)[1])
 
 
 def temporal_attention_pool(
     attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray, *, time_major: bool = False
 ) -> Tensor:
     """Attention-weighted sum of the N*H-flattened frames of ``h_final``, [B, T, N, H]
-    or, with ``time_major``, [T, B, N, H]; masked frames get exactly zero weight."""
-    h_final = ops.transpose(h_final, (1, 0, 2, 3)) if time_major else h_final
-    flat, alpha = _frames_and_weights(attn_w, attn_b, h_final, mask)
-    b, t, width = flat.shape
-    pooled = ops.matmul(ops.reshape(alpha, (b, 1, t)), flat)
-    return ops.reshape(pooled, (b, width))
+    or, with ``time_major``, [T, B, N, H]; masked frames get exactly zero weight.
+
+    One ``attention_pool`` record over (h_final, attn_w, attn_b) that keeps
+    alpha and reads the frames through a view, so no copy of the stream is
+    made. Its backward makes the per-op chain's numpy calls in that chain's
+    order and adds the frames' two gradients (through the weighted sum, then
+    through the scores) as its tape did, so every gradient has its bits.
+    """
+    frames, alpha = _frames_and_weights(attn_w, attn_b, h_final, mask, time_major)
+    b, t, width = frames.shape
+    alpha3 = alpha.reshape(b, 1, t)
+    out = Tensor(np.matmul(alpha3, frames).reshape(b, width))
+    ins = (h_final, attn_w, attn_b)
+    tape = active_tape()
+    if tape is None or not any(x.requires_grad for x in ins):
+        return out
+    w_col = attn_w.data.reshape(width, 1)
+
+    def back(grad):
+        g = grad.reshape(b, 1, width)
+        d_alpha = np.matmul(g, np.swapaxes(frames, -1, -2)).reshape(b, t)
+        d_frames = np.matmul(np.swapaxes(alpha3, -1, -2), g)
+        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+        d_scores = d_scores.reshape(b, t, 1)
+        d_frames = d_frames + np.matmul(d_scores, np.swapaxes(w_col, -1, -2))
+        d_w = np.matmul(np.swapaxes(frames, -1, -2), d_scores).sum(axis=0).reshape(width)
+        d_h = d_frames.reshape(b, t, *h_final.shape[2:])
+        d_h = d_h.transpose(1, 0, 2, 3) if time_major else d_h
+        return d_h, d_w, d_scores.sum(axis=(0, 1))
+
+    out.requires_grad = True
+    tape.record("attention_pool", ins, out, back)
+    return out
 
 
 def classify(
@@ -287,7 +322,7 @@ def classify(
     linear output map; returns raw logits."""
     h1 = ops.dropout(ops.elementwise("relu", ops.matmul(pooled, params.fc1)), dropout_rate, training, rng)
     h2 = ops.dropout(ops.elementwise("relu", ops.matmul(h1, params.fc2)), dropout_rate, training, rng)
-    return ops.add_bias(ops.matmul(h2, params.out_w), params.out_b)
+    return ops.linear(h2, params.out_w, params.out_b)
 
 
 def model_forward(

@@ -1,8 +1,8 @@
 """Recorded tensor operations with their local gradient rules.
 
 Binary pointwise ops require identical shapes; the only broadcast is the
-explicit, named `add_bias` over the last axis. Shape bugs are meant to
-raise, not to be papered over by numpy broadcasting.
+explicit bias over the last axis of `add_bias` and `linear`. Shape bugs are
+meant to raise, not to be papered over by numpy broadcasting.
 """
 
 from __future__ import annotations
@@ -223,6 +223,27 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         return g, np.ascontiguousarray(g.sum(axis=lead)) if lead else g.copy()
 
     return _emit("add_bias", (x, b), x.data + b.data, back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one record that keeps its operands, not its output. It makes
+    the calls of :func:`matmul` then :func:`add_bias`, so its output and every
+    gradient have the bits of that two-record chain."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: input {list(x.shape)}, weights {list(w.shape)} "
+                         f"and bias {list(b.shape)} do not chain")
+    xd, wd = x.data, w.data
+    need_x, need_w = x.requires_grad, w.requires_grad
+    out = np.matmul(xd, wd)
+    out += b.data
+    lead = tuple(range(out.ndim - 1))
+
+    def back(g):
+        gx = _sum_to_shape(np.matmul(g, np.swapaxes(wd, -1, -2)), xd.shape) if need_x else None
+        gw = _sum_to_shape(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape) if need_w else None
+        return gx, gw, g.sum(axis=lead)
+
+    return _emit("linear", (x, w, b), out, back)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -4,12 +4,14 @@ Every operation in :mod:`skelgru.ops` computes its result eagerly with
 numpy and, when a tape is active and an input is tracked, appends one
 record holding the local gradient rule. Replaying the tape in reverse
 is reverse-mode differentiation, so recurrences unrolled op by op (the
-RNN and LSTM cells) get backpropagation through time from the tape. Four
+RNN and LSTM cells) get backpropagation through time from the tape. Six
 layers instead record one op each with a hand-written backward: a whole
 GRU sequence (:func:`skelgru.cells.gru_sequence`), a whole multi-head
 GAT layer (:func:`skelgru.graph.gat_forward`), a GCN layer
-(:func:`skelgru.graph.gcn_forward`) and a residual add with its layer
-norm (:func:`skelgru.ops.residual_norm`).
+(:func:`skelgru.graph.gcn_forward`), a residual add with its layer
+norm (:func:`skelgru.ops.residual_norm`), a matmul with its bias
+(:func:`skelgru.ops.linear`) and temporal attention pooling
+(:func:`skelgru.model.temporal_attention_pool`).
 
 :func:`backward` consumes the tape as it sweeps it: each record is freed,
 with its closure and its output's gradient, once it has run, so a step's

@@ -238,3 +238,30 @@ WHERE_OUTPUT_DERIVATIVES = {
     "elu": lambda y: np.where(y > 0, 1.0, y + 1.0),
     "leaky_relu": lambda y: np.where(y > 0, 1.0, 0.2),
 }
+
+
+def embed_per_op_ref(params, batch):
+    """The embedding as the per-op chain ``model.embed_input`` recorded
+    before it became one ``linear`` record: transpose, matmul, add_bias."""
+    from skelgru import ops
+
+    frames = ops.transpose(batch.features, (1, 0, 2, 3))
+    return ops.add_bias(ops.matmul(frames, params.embed_w), params.embed_b)
+
+
+def attention_pool_per_op_ref(attn_w, attn_b, h_final, mask, time_major=False):
+    """Temporal attention pooling as the per-op chain that
+    ``model.temporal_attention_pool`` recorded before it became one
+    ``attention_pool`` record: a transposed copy of a time-major stream,
+    the score matmul, bias, mask add and softmax, and the weighted matmul."""
+    from skelgru import ops
+    from skelgru.tensor import Tensor
+
+    h_final = ops.transpose(h_final, (1, 0, 2, 3)) if time_major else h_final
+    b, t, n, h = h_final.shape
+    flat = ops.reshape(h_final, (b, t, n * h))
+    scores = ops.add_bias(ops.matmul(flat, ops.reshape(attn_w, (n * h, 1))), attn_b)
+    masked = ops.add(ops.reshape(scores, (b, t)), Tensor(np.where(mask, 0.0, -np.inf)))
+    alpha = ops.softmax_rows(masked)
+    pooled = ops.matmul(ops.reshape(alpha, (b, 1, t)), flat)
+    return ops.reshape(pooled, (b, n * h))

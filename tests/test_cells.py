@@ -25,11 +25,14 @@ from skelgru.cells import (
 from skelgru.gradcheck import finite_diff_check
 from skelgru.tensor import ShapeError, Tape, Tensor, backward, first_invalid_record
 
-RNG = np.random.default_rng(20240813)
+@pytest.fixture
+def rng():
+    """A generator of the test's own, so that no test's draws move another's inputs."""
+    return np.random.default_rng(20240813)
 
 
-def rand(shape, grad=False, scale=0.6):
-    return Tensor(RNG.normal(0.0, scale, shape), requires_grad=grad)
+def rand(rng, shape, grad=False, scale=0.6):
+    return Tensor(rng.normal(0.0, scale, shape), requires_grad=grad)
 
 
 def zero_rnn(h, d, o=None, phi="tanh", psi="identity"):
@@ -41,11 +44,11 @@ def zero_rnn(h, d, o=None, phi="tanh", psi="identity"):
     )
 
 
-def rand_rnn(h, d, o=None, grad=False):
+def rand_rnn(rng, h, d, o=None, grad=False):
     o = o or h
     return RNNCellParams(
-        w_h=rand((h, h + d), grad), b_h=rand((h,), grad),
-        w_y=rand((o, h), grad), b_y=rand((o,), grad),
+        w_h=rand(rng, (h, h + d), grad), b_h=rand(rng, (h,), grad),
+        w_y=rand(rng, (o, h), grad), b_y=rand(rng, (o,), grad),
     )
 
 
@@ -57,12 +60,12 @@ def zero_lstm(h, d):
     )
 
 
-def rand_lstm(h, d, grad=False):
+def rand_lstm(rng, h, d, grad=False):
     return LSTMCellParams(
-        w_f=rand((h, h + d), grad), b_f=rand((h,), grad),
-        w_i=rand((h, h + d), grad), b_i=rand((h,), grad),
-        w_c=rand((h, h + d), grad), b_c=rand((h,), grad),
-        w_o=rand((h, h + d), grad), b_o=rand((h,), grad),
+        w_f=rand(rng, (h, h + d), grad), b_f=rand(rng, (h,), grad),
+        w_i=rand(rng, (h, h + d), grad), b_i=rand(rng, (h,), grad),
+        w_c=rand(rng, (h, h + d), grad), b_c=rand(rng, (h,), grad),
+        w_o=rand(rng, (h, h + d), grad), b_o=rand(rng, (h,), grad),
     )
 
 
@@ -72,52 +75,52 @@ def zero_gru(h, d):
                          w_h=z((h, h + d)), b_h=z(h))
 
 
-def rand_gru(h, d, grad=False, scale=0.6):
+def rand_gru(rng, h, d, grad=False, scale=0.6):
     return GRUCellParams(
-        w_z=rand((h, h + d), grad, scale), b_z=rand((h,), grad, scale),
-        w_r=rand((h, h + d), grad, scale), b_r=rand((h,), grad, scale),
-        w_h=rand((h, h + d), grad, scale), b_h=rand((h,), grad, scale),
+        w_z=rand(rng, (h, h + d), grad, scale), b_z=rand(rng, (h,), grad, scale),
+        w_r=rand(rng, (h, h + d), grad, scale), b_r=rand(rng, (h,), grad, scale),
+        w_h=rand(rng, (h, h + d), grad, scale), b_h=rand(rng, (h,), grad, scale),
     )
 
 
 # ---------------------------------------------------------------------------
 # closed forms at zero parameters
 
-def test_rnn_zero_params_tanh_gives_zero_state():
+def test_rnn_zero_params_tanh_gives_zero_state(rng):
     p = zero_rnn(3, 2)
-    h, y = rnn_cell_step(p, rand((3,)), rand((2,)))
+    h, y = rnn_cell_step(p, rand(rng, (3,)), rand(rng, (2,)))
     assert np.array_equal(h.data, np.zeros(3))
     assert np.array_equal(y.data, np.zeros(3))
 
 
-def test_rnn_bias_only_identity():
+def test_rnn_bias_only_identity(rng):
     p = zero_rnn(3, 2, phi="identity")
     p.b_h.data[:] = [1.0, -2.0, 0.5]
-    h, _ = rnn_cell_step(p, rand((3,)), rand((2,)))
+    h, _ = rnn_cell_step(p, rand(rng, (3,)), rand(rng, (2,)))
     assert np.allclose(h.data, [1.0, -2.0, 0.5])
 
 
-def test_lstm_zero_params_closed_form():
+def test_lstm_zero_params_closed_form(rng):
     c_prev = np.array([1.0, -2.0, 4.0])
-    h, c = lstm_cell_step(zero_lstm(3, 2), Tensor(np.zeros(3)), Tensor(c_prev), rand((2,)))
+    h, c = lstm_cell_step(zero_lstm(3, 2), Tensor(np.zeros(3)), Tensor(c_prev), rand(rng, (2,)))
     assert np.allclose(c.data, 0.5 * c_prev, atol=1e-15)
     assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
 
-def test_lstm_all_zero_stays_zero():
-    h, c = lstm_cell_step(zero_lstm(2, 2), Tensor(np.zeros(2)), Tensor(np.zeros(2)), rand((2,)))
+def test_lstm_all_zero_stays_zero(rng):
+    h, c = lstm_cell_step(zero_lstm(2, 2), Tensor(np.zeros(2)), Tensor(np.zeros(2)), rand(rng, (2,)))
     assert np.array_equal(h.data, np.zeros(2))
     assert np.array_equal(c.data, np.zeros(2))
 
 
-def test_gru_zero_params_halves_state():
+def test_gru_zero_params_halves_state(rng):
     h_prev = np.array([2.0, -4.0])
-    h = gru_cell_step(zero_gru(2, 3), Tensor(h_prev), rand((3,)))
+    h = gru_cell_step(zero_gru(2, 3), Tensor(h_prev), rand(rng, (3,)))
     assert np.allclose(h.data, 0.5 * h_prev, atol=1e-15)
 
 
-def test_gru_zero_state_stays_zero():
-    h = gru_cell_step(zero_gru(2, 3), Tensor(np.zeros(2)), rand((3,)))
+def test_gru_zero_state_stays_zero(rng):
+    h = gru_cell_step(zero_gru(2, 3), Tensor(np.zeros(2)), rand(rng, (3,)))
     assert np.array_equal(h.data, np.zeros(2))
 
 
@@ -178,9 +181,9 @@ def test_gru_step_matches_oracle(seed):
     assert np.allclose(h.data, want, atol=1e-12)
 
 
-def test_dense_forward_matches_oracle_and_ignores_recurrent_block():
-    p = rand_rnn(4, 3, o=2)
-    x = rand((3,))
+def test_dense_forward_matches_oracle_and_ignores_recurrent_block(rng):
+    p = rand_rnn(rng, 4, 3, o=2)
+    x = rand(rng, (3,))
     h, y = dense_forward(p, x)
     want_h, want_y = oracles.dense_ref(
         p.w_h.data, p.b_h.data, p.w_y.data, p.b_y.data, "tanh", "identity", x.data
@@ -197,18 +200,18 @@ def test_dense_forward_matches_oracle_and_ignores_recurrent_block():
 # ---------------------------------------------------------------------------
 # row-stacked evaluation
 
-def test_gru_row_stack_equals_per_row_loop():
-    p = rand_gru(3, 2)
-    h_prev, x = rand((5, 3)), rand((5, 2))
+def test_gru_row_stack_equals_per_row_loop(rng):
+    p = rand_gru(rng, 3, 2)
+    h_prev, x = rand(rng, (5, 3)), rand(rng, (5, 2))
     stacked = gru_cell_step(p, h_prev, x).data
     for r in range(5):
         single = gru_cell_step(p, Tensor(h_prev.data[r]), Tensor(x.data[r])).data
         assert np.allclose(stacked[r], single, atol=1e-14)
 
 
-def test_lstm_row_stack_equals_per_row_loop():
-    p = rand_lstm(3, 2)
-    h_prev, c_prev, x = rand((4, 3)), rand((4, 3)), rand((4, 2))
+def test_lstm_row_stack_equals_per_row_loop(rng):
+    p = rand_lstm(rng, 3, 2)
+    h_prev, c_prev, x = rand(rng, (4, 3)), rand(rng, (4, 3)), rand(rng, (4, 2))
     h, c = lstm_cell_step(p, h_prev, c_prev, x)
     for r in range(4):
         hr, cr = lstm_cell_step(p, Tensor(h_prev.data[r]), Tensor(c_prev.data[r]), Tensor(x.data[r]))
@@ -216,16 +219,16 @@ def test_lstm_row_stack_equals_per_row_loop():
         assert np.allclose(c.data[r], cr.data, atol=1e-14)
 
 
-def test_step_shape_validation():
-    p = rand_gru(3, 2)
+def test_step_shape_validation(rng):
+    p = rand_gru(rng, 3, 2)
     with pytest.raises(ShapeError):
-        gru_cell_step(p, rand((4,)), rand((2,)))
+        gru_cell_step(p, rand(rng, (4,)), rand(rng, (2,)))
     with pytest.raises(ShapeError):
-        gru_cell_step(p, rand((3,)), rand((3,)))
+        gru_cell_step(p, rand(rng, (3,)), rand(rng, (3,)))
     with pytest.raises(ShapeError):
-        gru_cell_step(p, rand((5, 3)), rand((4, 2)))
+        gru_cell_step(p, rand(rng, (5, 3)), rand(rng, (4, 2)))
     with pytest.raises(ShapeError):
-        lstm_cell_step(rand_lstm(3, 2), rand((3,)), rand((2,)), rand((2,)))
+        lstm_cell_step(rand_lstm(rng, 3, 2), rand(rng, (3,)), rand(rng, (2,)), rand(rng, (2,)))
 
 
 CELL_GATES = {
@@ -280,7 +283,7 @@ def test_gru_update_is_convex_combination(seed):
 @settings(max_examples=40, deadline=None)
 def test_lstm_ranges(seed):
     rng = np.random.default_rng(seed)
-    p = rand_lstm(4, 3)
+    p = rand_lstm(rng, 4, 3)
     h, c = lstm_cell_step(p, Tensor(rng.normal(0, 1, 4)), Tensor(rng.normal(0, 1, 4)),
                           Tensor(rng.normal(0, 1, 3)))
     assert (np.abs(h.data) < 1.0).all()  # |o|<1 and |tanh(c)|<1
@@ -289,34 +292,34 @@ def test_lstm_ranges(seed):
 # ---------------------------------------------------------------------------
 # unrolling
 
-def test_unroll_single_step_equals_cell_step():
-    p = rand_gru(3, 2)
-    x = rand((1, 2))
+def test_unroll_single_step_equals_cell_step(rng):
+    p = rand_gru(rng, 3, 2)
+    x = rand(rng, (1, 2))
     states = unroll("gru", p, x)
     direct = gru_cell_step(p, Tensor(np.zeros(3)), Tensor(x.data[0]))
     assert np.allclose(states.data[0], direct.data, atol=1e-15)
 
 
-def test_unroll_zero_gru_halves_every_step():
+def test_unroll_zero_gru_halves_every_step(rng):
     p = zero_gru(3, 2)
     v = np.array([8.0, -16.0, 4.0])
-    states = unroll("gru", p, rand((5, 2)), HiddenState(Tensor(v)))
+    states = unroll("gru", p, rand(rng, (5, 2)), HiddenState(Tensor(v)))
     for t in range(5):
         assert np.allclose(states.data[t], v / 2.0 ** (t + 1), atol=1e-15)
 
 
-def test_unroll_all_kinds_and_shapes():
+def test_unroll_all_kinds_and_shapes(rng):
     t_len, rows, d, h_size = 4, 3, 2, 5
-    inputs = rand((t_len, rows, d))
-    for kind, params in (("rnn", rand_rnn(h_size, d)), ("lstm", rand_lstm(h_size, d)),
-                         ("gru", rand_gru(h_size, d))):
+    inputs = rand(rng, (t_len, rows, d))
+    for kind, params in (("rnn", rand_rnn(rng, h_size, d)), ("lstm", rand_lstm(rng, h_size, d)),
+                         ("gru", rand_gru(rng, h_size, d))):
         states = unroll(kind, params, inputs)
         assert states.shape == (t_len, rows, h_size)
 
 
-def test_unroll_matches_manual_loop():
-    p = rand_gru(4, 3)
-    xs = rand((6, 3))
+def test_unroll_matches_manual_loop(rng):
+    p = rand_gru(rng, 4, 3)
+    xs = rand(rng, (6, 3))
     states = unroll("gru", p, xs).data
     h = Tensor(np.zeros(4))
     for t in range(6):
@@ -324,16 +327,16 @@ def test_unroll_matches_manual_loop():
         assert np.allclose(states[t], h.data, atol=1e-14)
 
 
-def test_unroll_validates():
-    p = rand_gru(3, 2)
+def test_unroll_validates(rng):
+    p = rand_gru(rng, 3, 2)
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand((0, 2)))
+        unroll("gru", p, rand(rng, (0, 2)))
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand((4,)))
+        unroll("gru", p, rand(rng, (4,)))
     with pytest.raises(ValueError, match="unknown cell kind"):
-        unroll("bilstm", p, rand((4, 2)))
+        unroll("bilstm", p, rand(rng, (4, 2)))
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand((4, 2)), HiddenState(Tensor(np.zeros(3)), Tensor(np.zeros(3))))
+        unroll("gru", p, rand(rng, (4, 2)), HiddenState(Tensor(np.zeros(3)), Tensor(np.zeros(3))))
 
 
 def test_zero_state_shapes():
@@ -346,9 +349,9 @@ def test_zero_state_shapes():
 # ---------------------------------------------------------------------------
 # BPTT gradients
 
-def test_bptt_gradient_wrt_first_input_20_steps():
-    p = rand_gru(3, 2)
-    xs = rand((20, 2), grad=True)
+def test_bptt_gradient_wrt_first_input_20_steps(rng):
+    p = rand_gru(rng, 3, 2)
+    xs = rand(rng, (20, 2), grad=True)
 
     def f():
         states = unroll("gru", p, xs)
@@ -357,12 +360,12 @@ def test_bptt_gradient_wrt_first_input_20_steps():
     assert finite_diff_check(f, xs) <= 1e-4
 
 
-def test_bptt_gradient_wrt_params_all_kinds():
-    xs = rand((8, 2))
+def test_bptt_gradient_wrt_params_all_kinds(rng):
+    xs = rand(rng, (8, 2))
     for kind, params, leaf in (
-        ("rnn", rand_rnn(3, 2, grad=True), "w_h"),
-        ("lstm", rand_lstm(3, 2, grad=True), "w_c"),
-        ("gru", rand_gru(3, 2, grad=True), "w_h"),
+        ("rnn", rand_rnn(rng, 3, 2, grad=True), "w_h"),
+        ("lstm", rand_lstm(rng, 3, 2, grad=True), "w_c"),
+        ("gru", rand_gru(rng, 3, 2, grad=True), "w_h"),
     ):
         def f(kind=kind, params=params):
             return ops.sum_all(unroll(kind, params, xs))
@@ -370,9 +373,9 @@ def test_bptt_gradient_wrt_params_all_kinds():
         assert finite_diff_check(f, getattr(params, leaf)) <= 1e-4, kind
 
 
-def test_bptt_credit_flows_to_early_inputs():
-    p = rand_gru(3, 2)
-    xs = rand((10, 2), grad=True)
+def test_bptt_credit_flows_to_early_inputs(rng):
+    p = rand_gru(rng, 3, 2)
+    xs = rand(rng, (10, 2), grad=True)
     with Tape() as tape:
         states = unroll("gru", p, xs)
         loss = ops.sum_all(ops.index_axis(states, 0, 9))
@@ -410,16 +413,16 @@ STAGE_SHAPES = ((32, 288, 32), (16, 68, 64))
 
 @pytest.mark.parametrize("shape", [(7, 3), (6, 4, 3), *STAGE_SHAPES])
 @pytest.mark.parametrize("track_h0", [True, False])
-def test_gru_sequence_matches_cell_step_loop(shape, track_h0):
+def test_gru_sequence_matches_cell_step_loop(shape, track_h0, rng):
     # stage shapes take weights at the model's init scale 1/sqrt(h + d); at
     # the default 0.6 their gates saturate, and the fused op and the per-op
     # loop already differ by up to 7e-12 in rounding alone
     stage = shape in STAGE_SHAPES
     h_size = shape[-1] if stage else 5
-    p = rand_gru(h_size, shape[-1], grad=True, scale=1.0 / np.sqrt(2 * h_size) if stage else 0.6)
-    xs = rand(shape, grad=True)
-    h0 = rand(shape[1:-1] + (h_size,), grad=track_h0)
-    weights = rand(shape[:-1] + (h_size,))
+    p = rand_gru(rng, h_size, shape[-1], grad=True, scale=1.0 / np.sqrt(2 * h_size) if stage else 0.6)
+    xs = rand(rng, shape, grad=True)
+    h0 = rand(rng, shape[1:-1] + (h_size,), grad=track_h0)
+    weights = rand(rng, shape[:-1] + (h_size,))
     assert np.abs(gru_sequence(p, xs, h0).data - _gru_loop(p, xs, h0).data).max() <= 1e-12
     loss, grads = _states_and_grads(gru_sequence, p, xs, h0, weights)
     want_loss, want = _states_and_grads(_gru_loop, p, xs, h0, weights)
@@ -430,30 +433,30 @@ def test_gru_sequence_matches_cell_step_loop(shape, track_h0):
             assert np.abs(got - ref).max() <= 1e-12, name
 
 
-def test_gru_sequence_is_one_record():
-    p = rand_gru(3, 2, grad=True)
+def test_gru_sequence_is_one_record(rng):
+    p = rand_gru(rng, 3, 2, grad=True)
     with Tape() as tape:
-        gru_sequence(p, rand((5, 4, 2)), rand((4, 3)))
+        gru_sequence(p, rand(rng, (5, 4, 2)), rand(rng, (4, 3)))
     assert [rec.op for rec in tape.records] == ["gru_sequence"]
 
 
-def test_gru_sequence_without_tape_records_nothing_and_keeps_bits():
-    p = rand_gru(3, 2, grad=True)
-    xs, h0 = rand((5, 4, 2), grad=True), rand((4, 3))
+def test_gru_sequence_without_tape_records_nothing_and_keeps_bits(rng):
+    p = rand_gru(rng, 3, 2, grad=True)
+    xs, h0 = rand(rng, (5, 4, 2), grad=True), rand(rng, (4, 3))
     with Tape():
         taped = gru_sequence(p, xs, h0)
     untaped = gru_sequence(p, xs, h0)
     with Tape() as tape:
-        untracked = gru_sequence(rand_gru(3, 2), rand((5, 4, 2)), h0)
+        untracked = gru_sequence(rand_gru(rng, 3, 2), rand(rng, (5, 4, 2)), h0)
     assert taped.requires_grad and not untaped.requires_grad
     assert len(tape) == 0 and not untracked.requires_grad
     assert np.array_equal(taped.data, untaped.data)
 
 
-def test_gru_sequence_nan_names_fused_record():
-    p = rand_gru(3, 2, grad=True)
-    xs = rand((5, 4, 2))
+def test_gru_sequence_nan_names_fused_record(rng):
+    p = rand_gru(rng, 3, 2, grad=True)
+    xs = rand(rng, (5, 4, 2))
     xs.data[2, 1, 0] = np.nan
     with Tape() as tape:
-        states = gru_sequence(p, xs, rand((4, 3)))
+        states = gru_sequence(p, xs, rand(rng, (4, 3)))
     assert first_invalid_record(tape) == f"gru_sequence#{states.tid}"

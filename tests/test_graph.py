@@ -476,10 +476,11 @@ def test_gat_layer_without_tape_records_nothing_and_keeps_bits(rng):
     assert np.array_equal(taped.data, untaped.data)
 
 
-def test_taped_desk_gat_layer_holds_p_alpha_output_and_a_mask():
+def test_taped_desk_gat_layer_holds_alpha_output_and_a_mask():
     """One desk-shaped layer ([B=32, T=32, chain:9, H=32], 4 heads) on the
-    tape holds P, alpha, its output and a boolean mask of positive pair
-    scores, and no pre-activation; its output has the untaped bits."""
+    tape holds alpha, its output and a boolean mask of positive pair
+    scores: no projection P, which backward rebuilds, and no
+    pre-activation; its output has the untaped bits."""
     rng = np.random.default_rng(1710)
     topo, heads, (b, t, n, hid) = chain_topology(9), 4, (32, 32, 9, 32)
     params = GATLayerParams(
@@ -499,8 +500,7 @@ def test_taped_desk_gat_layer_holds_p_alpha_output_and_a_mask():
         tracemalloc.stop()
     assert len(tape) == 1
     slots = n * topo.neighbor_slots[0].shape[1] * heads * b * t  # [N, D, K, M]
-    p_bytes = n * hid * b * t * 8
-    assert held <= 1.05 * (p_bytes + slots * 8 + taped.data.nbytes + slots)
+    assert held <= 1.05 * (slots * 8 + slots + taped.data.nbytes)
     assert np.array_equal(taped.data, untaped.data)
 
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import oracles
-from skelgru import ops
+from skelgru import graph, model, ops
 from skelgru.cells import GRUCellParams
 from skelgru.config import load_run_config, model_config_from
 from skelgru.gradcheck import finite_diff_check
-from skelgru.graph import GATLayerParams, SkeletonTopology, build_normalized_adjacency, chain_topology
+from skelgru.graph import GATLayerParams, SkeletonTopology, build_normalized_adjacency, chain_topology, gcn_forward
 from skelgru.model import (
     ModelConfig,
     ModelParams,
@@ -32,13 +32,16 @@ from skelgru.model import (
     temporal_attention_weights,
     tiny_reference_config,
 )
-from skelgru.tensor import MaskError, ShapeError, Tape, TapeError, Tensor, backward
+from skelgru.tensor import MaskError, ShapeError, Tape, TapeError, Tensor, backward, first_invalid_record
 
-RNG = np.random.default_rng(20240814)
+@pytest.fixture
+def rng():
+    """A generator of the test's own, so that no test's draws move another's inputs."""
+    return np.random.default_rng(20240814)
 
 
-def rand(shape, grad=False, scale=0.8):
-    return Tensor(RNG.normal(0.0, scale, shape), requires_grad=grad)
+def rand(rng, shape, grad=False, scale=0.8):
+    return Tensor(rng.normal(0.0, scale, shape), requires_grad=grad)
 
 
 def full_mask(b, t):
@@ -153,18 +156,61 @@ def test_embed_matches_per_node_loop():
                 assert np.allclose(got[bi, t, v], want, atol=1e-14)
 
 
+def _output_and_grads(f, leaves):
+    """f()'s output and the gradients its leaves get from a fixed random
+    weighting of it, on a fresh tape."""
+    with Tape() as tape:
+        out = f()
+        weights = Tensor(np.random.default_rng(7).normal(0.0, 1.0, out.shape))
+        loss = ops.sum_all(ops.mul(out, weights))
+    backward(tape, loss)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+def test_embed_input_matches_per_op_chain_bit_for_bit():
+    config = ModelConfig(stages=1, gnn_kind="gcn", hidden=5, seq_len=3, n_nodes=4,
+                         input_dim=3, classes=2)
+    params = init_model_params(config, seed=3)
+    batch = random_batch(config, b=2, seed=5)
+    leaves = [params.embed_w, params.embed_b]
+    want = _output_and_grads(lambda: oracles.embed_per_op_ref(params, batch), leaves)
+    assert _output_and_grads(lambda: embed_input(params, batch), leaves) == want
+
+
+def test_taped_desk_embedding_holds_only_its_output_and_input():
+    """A desk batch ([B=32, T=32, chain:9, d=2], H=32) embedded on the tape
+    holds its output and the transposed features the weight gradient reads:
+    no product apart from the output (the matmul and add_bias records it
+    replaced held two)."""
+    config = _desk_config()
+    params = init_model_params(config, seed=0)
+    batch = random_batch(config, b=32)
+    untaped = embed_input(params, batch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            taped = embed_input(params, batch)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [rec.op for rec in tape.records] == ["linear"]
+    assert held <= 1.05 * (taped.data.nbytes + batch.features.data.nbytes)
+    assert np.array_equal(taped.data, untaped.data)
+
+
 # ---------------------------------------------------------------------------
 # stages
 
-def test_stage_forward_zero_gru_gives_zeros():
+def test_stage_forward_zero_gru_gives_zeros(rng):
     topo = chain_topology(3)
     stage = zero_stage(4)
-    stage.gnn.data[:] = RNG.normal(0, 1, (4, 4))
-    out = stage_forward(stage, rand((5, 2, 3, 4)), topo)
+    stage.gnn.data[:] = rng.normal(0, 1, (4, 4))
+    out = stage_forward(stage, rand(rng, (5, 2, 3, 4)), topo)
     assert np.array_equal(out.data, np.zeros((5, 2, 3, 4)))
 
 
-def test_stage_forward_single_step_closed_form():
+def test_stage_forward_single_step_closed_form(rng):
     # T=1: h = (1-z)*0 + z*tanh(W_h[r*0, x] + b_h) with gates from h_prev=0
     topo = chain_topology(2)
     adj = build_normalized_adjacency(topo)
@@ -172,13 +218,13 @@ def test_stage_forward_single_step_closed_form():
     stage = StageParams(
         gnn=Tensor(np.eye(h)),
         gru=GRUCellParams(
-            w_z=rand((h, 2 * h)), b_z=rand((h,)), w_r=rand((h, 2 * h)), b_r=rand((h,)),
-            w_h=rand((h, 2 * h)), b_h=rand((h,)),
+            w_z=rand(rng, (h, 2 * h)), b_z=rand(rng, (h,)), w_r=rand(rng, (h, 2 * h)), b_r=rand(rng, (h,)),
+            w_h=rand(rng, (h, 2 * h)), b_h=rand(rng, (h,)),
         ),
         norm_gain=Tensor(np.ones(h)),
         norm_bias=Tensor(np.zeros(h)),
     )
-    h_in = rand((1, 1, 2, h))
+    h_in = rand(rng, (1, 1, 2, h))
     out = stage_forward(stage, h_in, topo).data
     gcn = oracles.gcn_ref(adj.data, h_in.data[0, 0], np.eye(h), "relu")
     for v in range(2):
@@ -190,7 +236,7 @@ def test_stage_forward_single_step_closed_form():
         assert np.allclose(out[0, 0, v], want, atol=1e-12)
 
 
-def test_stage_forward_gru_runs_along_time_per_node():
+def test_stage_forward_gru_runs_along_time_per_node(rng):
     # node tracks are independent: changing node 1's frames must not
     # affect node 0's outputs when the graph has no edges
     topo = SkeletonTopology(2, ())
@@ -198,9 +244,9 @@ def test_stage_forward_gru_runs_along_time_per_node():
         gnn=Tensor(np.eye(3)), gru=zero_gru(3),
         norm_gain=Tensor(np.ones(3)), norm_bias=Tensor(np.zeros(3)),
     )
-    stage.gru.w_h.data[:] = RNG.normal(0, 1, (3, 6))
-    stage.gru.w_z.data[:] = RNG.normal(0, 1, (3, 6))
-    base_in = rand((4, 1, 2, 3))
+    stage.gru.w_h.data[:] = rng.normal(0, 1, (3, 6))
+    stage.gru.w_z.data[:] = rng.normal(0, 1, (3, 6))
+    base_in = rand(rng, (4, 1, 2, 3))
     base = stage_forward(stage, base_in, topo).data
     bumped = Tensor(base_in.data.copy())
     bumped.data[:, 0, 1, :] += 3.0
@@ -209,10 +255,10 @@ def test_stage_forward_gru_runs_along_time_per_node():
     assert not np.allclose(out[:, 0, 1], base[:, 0, 1])
 
 
-def test_residual_norm_zero_block_is_layer_norm_of_input():
+def test_residual_norm_zero_block_is_layer_norm_of_input(rng):
     topo = chain_topology(3)
     stage = zero_stage(4)
-    h_in = rand((3, 2, 3, 4))
+    h_in = rand(rng, (3, 2, 3, 4))
     out = residual_norm_stage(stage, h_in, topo, eps=1e-5).data
     for bi in range(2):
         for t in range(3):
@@ -230,28 +276,28 @@ def test_residual_norm_constant_feature_zero_block_gives_bias():
     assert np.allclose(out, np.broadcast_to(stage.norm_bias.data, out.shape), atol=1e-12)
 
 
-def test_residual_path_carries_gradient_with_zero_block():
+def test_residual_path_carries_gradient_with_zero_block(rng):
     topo = chain_topology(2)
     stage = zero_stage(3)
-    h_in = rand((2, 1, 2, 3), grad=True)
+    h_in = rand(rng, (2, 1, 2, 3), grad=True)
     with Tape() as tape:
         loss = ops.sum_all(ops.mul(residual_norm_stage(stage, h_in, topo, 1e-5),
-                                   rand((2, 1, 2, 3))))
+                                   rand(rng, (2, 1, 2, 3))))
     backward(tape, loss)
     assert np.abs(h_in.grad).max() > 0.0
 
 
-def test_stage_forward_rejects_bad_rank():
+def test_stage_forward_rejects_bad_rank(rng):
     topo = chain_topology(2)
     with pytest.raises(ShapeError):
-        stage_forward(zero_stage(3), rand((2, 2, 3)), topo)
+        stage_forward(zero_stage(3), rand(rng, (2, 2, 3)), topo)
 
 
 # ---------------------------------------------------------------------------
 # attention pooling
 
-def test_attention_equal_scores_is_temporal_mean():
-    h_final = rand((2, 5, 3, 4))
+def test_attention_equal_scores_is_temporal_mean(rng):
+    h_final = rand(rng, (2, 5, 3, 4))
     w = Tensor(np.zeros(12), requires_grad=True)
     b = Tensor(np.zeros(1), requires_grad=True)
     pooled = temporal_attention_pool(w, b, h_final, full_mask(2, 5)).data
@@ -259,9 +305,9 @@ def test_attention_equal_scores_is_temporal_mean():
     assert np.allclose(pooled, want, atol=1e-12)
 
 
-def test_attention_single_frame_passes_through():
-    h_final = rand((3, 1, 2, 4))
-    pooled = temporal_attention_pool(rand((8,)), rand((1,)), h_final, full_mask(3, 1)).data
+def test_attention_single_frame_passes_through(rng):
+    h_final = rand(rng, (3, 1, 2, 4))
+    pooled = temporal_attention_pool(rand(rng, (8,)), rand(rng, (1,)), h_final, full_mask(3, 1)).data
     assert np.allclose(pooled, h_final.data.reshape(3, 8), atol=1e-12)
 
 
@@ -276,17 +322,17 @@ def test_attention_saturates_at_20_logit_lead():
     assert np.allclose(pooled[0], h_final.data[0, 1].reshape(-1), atol=1e-7)
 
 
-def test_attention_masked_frames_get_zero_weight():
-    h_final = rand((2, 4, 2, 3))
+def test_attention_masked_frames_get_zero_weight(rng):
+    h_final = rand(rng, (2, 4, 2, 3))
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
-    alpha = temporal_attention_weights(rand((6,)), rand((1,)), h_final, mask).data
+    alpha = temporal_attention_weights(rand(rng, (6,)), rand(rng, (1,)), h_final, mask).data
     assert np.array_equal(alpha[~mask], np.zeros(3))
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_attention_output_ignores_masked_frame_values():
-    w, b = rand((6,)), rand((1,))
-    base = rand((1, 4, 2, 3))
+def test_attention_output_ignores_masked_frame_values(rng):
+    w, b = rand(rng, (6,)), rand(rng, (1,))
+    base = rand(rng, (1, 4, 2, 3))
     mask = np.array([[1, 1, 1, 0]], dtype=bool)
     pooled = temporal_attention_pool(w, b, base, mask).data
     poked = Tensor(base.data.copy())
@@ -295,44 +341,111 @@ def test_attention_output_ignores_masked_frame_values():
     assert np.array_equal(pooled, pooled2)
 
 
-def test_attention_fully_masked_sample_raises():
+def test_attention_fully_masked_sample_raises(rng):
     with pytest.raises(MaskError, match="sample 0"):
-        temporal_attention_pool(rand((6,)), rand((1,)), rand((1, 3, 2, 3)),
+        temporal_attention_pool(rand(rng, (6,)), rand(rng, (1,)), rand(rng, (1, 3, 2, 3)),
                                 np.zeros((1, 3), dtype=bool))
 
 
-def test_attention_weight_width_validated():
+def test_attention_weight_width_validated(rng):
     with pytest.raises(ShapeError):
-        temporal_attention_pool(rand((5,)), rand((1,)), rand((1, 3, 2, 3)), full_mask(1, 3))
+        temporal_attention_pool(rand(rng, (5,)), rand(rng, (1,)), rand(rng, (1, 3, 2, 3)), full_mask(1, 3))
+
+
+@pytest.mark.parametrize("time_major", [False, True])
+def test_attention_pool_matches_per_op_chain_bit_for_bit(time_major, rng):
+    """Output and all three gradients, with padded frames, equal the per-op
+    chain's bit for bit in both layouts."""
+    h_final = rand(rng, (5, 3, 2, 3) if time_major else (3, 5, 2, 3), grad=True)
+    w, b = rand(rng, (6,), grad=True), rand(rng, (1,), grad=True)
+    mask = full_mask(3, 5)
+    mask[1, -1] = mask[2, -2:] = False
+    leaves = [h_final, w, b]
+    want = _output_and_grads(
+        lambda: oracles.attention_pool_per_op_ref(w, b, h_final, mask, time_major), leaves)
+    got = _output_and_grads(
+        lambda: temporal_attention_pool(w, b, h_final, mask, time_major=time_major), leaves)
+    assert got == want
+
+
+def test_attention_pool_is_one_record_and_names_itself(rng):
+    h_final = rand(rng, (4, 2, 2, 3), grad=True)
+    h_final.data[1, 0, 1, 2] = np.nan
+    with Tape() as tape:
+        pooled = temporal_attention_pool(rand(rng, (6,)), rand(rng, (1,)), h_final,
+                                         full_mask(2, 4), time_major=True)
+    assert [rec.op for rec in tape.records] == ["attention_pool"]
+    assert first_invalid_record(tape) == f"attention_pool#{pooled.tid}"
+
+
+def test_attention_pool_gradients_pass_finite_differences(rng):
+    """attn_b is left out: its true gradient is zero by softmax shift
+    invariance, so its relative error would weigh rounding noise against
+    the 1e-8 floor of the check."""
+    h_final = rand(rng, (4, 2, 3, 2), grad=True)
+    w, b = rand(rng, (6,), grad=True), rand(rng, (1,), grad=True)
+    mask = full_mask(2, 4)
+    mask[0, -1] = False
+    weights = rand(rng, (2, 6))
+
+    def f():
+        pooled = temporal_attention_pool(w, b, h_final, mask, time_major=True)
+        return ops.sum_all(ops.mul(pooled, weights))
+
+    assert finite_diff_check(f, h_final) <= 1e-6
+    assert finite_diff_check(f, w) <= 1e-6
+
+
+def test_taped_time_major_pool_makes_no_copy_of_the_stream(rng):
+    """Pooling a desk-shaped time-major stream ([T=32, B=32, chain:9, H=32])
+    on the tape holds the pooled rows and alpha, not the [B, T, N*H]
+    transposed copy the per-op chain held."""
+    t, b, n, h = 32, 32, 9, 32
+    h_final = rand(rng, (t, b, n, h), grad=True)
+    w, bias = rand(rng, (n * h,), grad=True), rand(rng, (1,), grad=True)
+    mask = full_mask(b, t)
+    mask[0, -4:] = False
+    untaped = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            taped = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [rec.op for rec in tape.records] == ["attention_pool"]
+    assert held <= 1.05 * (taped.data.nbytes + b * t * 8)
+    assert np.array_equal(taped.data, untaped.data)
 
 
 # ---------------------------------------------------------------------------
 # classifier head
 
-def test_classify_zero_weights_uniform_logits():
+def test_classify_zero_weights_uniform_logits(rng):
     config = ModelConfig(stages=1, gnn_kind="gcn", hidden=4, seq_len=2, n_nodes=2,
                          input_dim=2, classes=5)
     params = init_model_params(config)
     for t in (params.fc1, params.fc2, params.out_w, params.out_b):
         t.data[:] = 0.0
-    logits = classify(params, rand((3, 8)), training=False)
+    logits = classify(params, rand(rng, (3, 8)), training=False)
     assert np.array_equal(logits.data, np.zeros((3, 5)))
 
 
-def test_classify_inference_deterministic():
+def test_classify_inference_deterministic(rng):
     config = tiny_reference_config()
     params = init_model_params(config, seed=1)
-    pooled = rand((2, config.flat_width))
+    pooled = rand(rng, (2, config.flat_width))
     a = classify(params, pooled, training=False).data
     b = classify(params, pooled, training=False).data
     assert np.array_equal(a, b)
 
 
-def test_classify_matches_loop_oracle():
+def test_classify_matches_loop_oracle(rng):
     config = ModelConfig(stages=1, gnn_kind="gcn", hidden=2, seq_len=2, n_nodes=2,
                          input_dim=2, classes=3, fc_width=3)
     params = init_model_params(config, seed=9)
-    pooled = rand((2, 4))
+    pooled = rand(rng, (2, 4))
     got = classify(params, pooled, training=False).data
     for i in range(2):
         h1 = [oracles.act_s("relu", v) for v in oracles.matvec(params.fc1.data.T.tolist(), pooled.data[i])]
@@ -341,13 +454,12 @@ def test_classify_matches_loop_oracle():
         assert np.allclose(got[i], want, atol=1e-12)
 
 
-def test_classify_training_dropout_differs_from_inference():
+def test_classify_training_dropout_differs_from_inference(rng):
     config = ModelConfig(stages=1, gnn_kind="gcn", hidden=8, seq_len=2, n_nodes=4,
                          input_dim=2, classes=4, dropout_rate=0.5)
     params = init_model_params(config, seed=2)
-    pooled = rand((4, 32))
-    rng = np.random.default_rng(0)
-    trained = classify(params, pooled, training=True, rng=rng, dropout_rate=0.5).data
+    pooled = rand(rng, (4, 32))
+    trained = classify(params, pooled, training=True, rng=np.random.default_rng(0), dropout_rate=0.5).data
     plain = classify(params, pooled, training=False).data
     assert not np.allclose(trained, plain)
 
@@ -467,8 +579,8 @@ def test_loss_saturated_logit_is_near_zero():
     assert ops.cross_entropy(logits, np.array([2])).item() <= 1e-12
 
 
-def test_loss_is_mean_of_per_sample_losses():
-    logits = rand((2, 5), scale=2.0)
+def test_loss_is_mean_of_per_sample_losses(rng):
+    logits = rand(rng, (2, 5), scale=2.0)
     labels = np.array([3, 1])
     want = oracles.cross_entropy_ref(logits.data, labels)
     assert np.isclose(ops.cross_entropy(logits, labels).item(), want, atol=1e-12)
@@ -497,8 +609,8 @@ def test_predict_probability_bits_unchanged():
         assert np.array_equal(prob, e[np.arange(7), idx] / e.sum(axis=1))
 
 
-def test_predict_shift_invariant():
-    logits = rand((4, 6))
+def test_predict_shift_invariant(rng):
+    logits = rand(rng, (4, 6))
     idx1, p1 = predict(logits)
     idx2, p2 = predict(Tensor(logits.data + 123.4))
     assert np.array_equal(idx1, idx2)
@@ -547,35 +659,58 @@ def _desk_training_tape(config, params, batch):
 
 
 def test_desk_forward_record_count():
-    """The desk model's inference-mode forward pass is 39 tape records:
-    four fused GRU records, four fused GAT layers, four fused residual
-    norms, and the pooling's one transpose of the time-major stream. A
-    per-op GRU adds about 670 records per stage and a per-op GAT layer
-    about 57; a batch-major stream with a separate add and layer norm
-    adds 3 per stage."""
+    """The desk model's inference-mode forward pass is 27 tape records:
+    one ``linear`` embedding, four fused GRU records, four fused GAT
+    layers, four fused residual norms, one ``attention_pool`` record that
+    makes no transpose of the time-major stream, and the head. A per-op
+    GRU adds about 670 records per stage and a per-op GAT layer about 57;
+    a batch-major stream with a separate add and layer norm adds 3 per
+    stage; the per-op embedding, pooling and output layer added 12."""
     config = _desk_config()
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
-    counts = tuple(ops_.count(op) for op in
-                   ("gru_sequence", "gat_layer", "residual_norm", "layer_norm", "transpose"))
-    assert (len(ops_), *counts) == (39, 4, 4, 4, 0, 1)
+    counts = tuple(ops_.count(op) for op in ("gru_sequence", "gat_layer", "residual_norm",
+                                             "layer_norm", "transpose", "linear", "attention_pool"))
+    assert (len(ops_), *counts) == (27, 4, 4, 4, 0, 0, 2, 1)
 
 
 def test_gcn_forward_record_count():
-    """A one-stage GCN model's inference-mode forward pass is 24 tape
+    """A one-stage GCN model's inference-mode forward pass is 12 tape
     records. Its stage is the fused GCN layer, the GRU, their two reshapes
     and the residual norm: no matmul and no activation record of its own
-    (the per-op GCN layer was three records)."""
+    (the per-op GCN layer was three records). The only two matmuls are
+    the head's bias-free layers."""
     config = dataclasses.replace(_desk_config(), gnn_kind="gcn", stages=1)
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
-    assert ops_[:7] == ["matmul", "add_bias",  # the embedding
-                        "gcn_layer", "reshape", "gru_sequence", "reshape", "residual_norm"]
-    assert (len(ops_), ops_.count("gcn_layer"), ops_.count("matmul")) == (24, 1, 6)
+    assert ops_[:7] == ["linear",  # the embedding
+                        "gcn_layer", "reshape", "gru_sequence", "reshape", "residual_norm",
+                        "attention_pool"]
+    assert (len(ops_), ops_.count("gcn_layer"), ops_.count("matmul")) == (12, 1, 2)
+
+
+def test_gcn_forwards_share_one_propagation_table(monkeypatch):
+    """The GCN table is built once per topology, not once per stage of
+    every forward, and has the bits of build_normalized_adjacency."""
+    config = dataclasses.replace(_desk_config(), gnn_kind="gcn", stages=3)
+    params = init_model_params(config, seed=0)
+    topo = chain_topology(9)
+    built = []
+    real = graph.build_normalized_adjacency
+    monkeypatch.setattr(graph, "build_normalized_adjacency", lambda t: built.append(t) or real(t))
+    seen = []
+    monkeypatch.setattr(model, "gcn_forward", lambda adj, *a, **k: seen.append(adj) or gcn_forward(adj, *a, **k))
+    batch = random_batch(config, b=1)
+    for _ in range(2):
+        model_forward(params, config, batch, topo)
+    assert built == [topo] and len(seen) == 6
+    assert all(adj is topo.normalized_adjacency for adj in seen)
+    assert not topo.normalized_adjacency.data.flags.writeable
+    assert topo.normalized_adjacency.data.tobytes() == real(chain_topology(9)).data.tobytes()
 
 
 def test_desk_step_gradients_bitwise_match_zero_fill_reference():

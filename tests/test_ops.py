@@ -54,6 +54,37 @@ def test_add_bias_broadcasts_over_leading_axes(rng):
         ops.add_bias(x, rand(rng, (3,)))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5, 4)])
+def test_linear_matches_matmul_then_add_bias_bit_for_bit(shape, rng):
+    """One linear record gives the output and every gradient of the matmul
+    and add_bias records it replaces, bit for bit, with its input tracked
+    or not, and rejects operands that do not chain."""
+    w, b = rand(rng, (4, 3)), rand(rng, (3,))
+    weights = Tensor(rng.normal(0.0, 1.0, shape[:-1] + (3,)))
+    for x in (rand(rng, shape), Tensor(rng.normal(0.0, 1.0, shape))):
+        results = []
+        for f in (lambda: ops.add_bias(ops.matmul(x, w), b), lambda: ops.linear(x, w, b)):
+            with Tape() as tape:
+                out = f()
+                loss = ops.sum_all(ops.mul(out, weights))
+            backward(tape, loss)
+            grads = [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
+            results.append([out.data.tobytes(), *grads])
+        assert results[0] == results[1]
+    for bad_w, bad_b in (((3, 3), (3,)), ((4, 3), (4,)), ((2, 4, 3), (3,))):
+        with pytest.raises(ShapeError):
+            ops.linear(rand(rng, shape), rand(rng, bad_w), rand(rng, bad_b))
+
+
+def test_linear_names_nan_input_record(rng):
+    x = rand(rng, (3, 4))
+    x.data[2, 1] = np.nan
+    with Tape() as tape:
+        out = ops.linear(x, rand(rng, (4, 2)), rand(rng, (2,)))
+    assert [rec.op for rec in tape.records] == ["linear"]
+    assert first_invalid_record(tape) == f"linear#{out.tid}"
+
+
 def test_activation_values():
     x = Tensor([-2.0, -0.5, 0.0, 0.5, 2.0])
     for tag in ("identity", "sigmoid", "tanh", "relu", "elu", "leaky_relu"):
@@ -258,6 +289,12 @@ def test_grad_concat_stack(rng):
 def test_grad_add_bias(rng):
     x, b = rand(rng, (3, 4)), rand(rng, (4,))
     check_grad(lambda: ops.sum_all(ops.elementwise("sigmoid", ops.add_bias(x, b))), b)
+
+
+def test_grad_linear(rng):
+    x, w, b = rand(rng, (2, 3, 4)), rand(rng, (4, 2)), rand(rng, (2,))
+    for param in (x, w, b):
+        check_grad(lambda: ops.sum_all(ops.elementwise("tanh", ops.linear(x, w, b))), param)
 
 
 def test_grad_softmax_with_mask(rng):

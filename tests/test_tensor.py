@@ -7,6 +7,7 @@ import oracles
 from skelgru import ops
 from skelgru.cells import GRUCellParams, gru_sequence
 from skelgru.graph import GATLayerParams, build_normalized_adjacency, chain_topology, gat_forward, gcn_forward
+from skelgru.model import temporal_attention_pool
 from skelgru.tensor import (
     MaskError,
     ShapeError,
@@ -183,7 +184,9 @@ def test_backward_bitwise_matches_zero_fill_on_fan_out():
     assert not unused.grad.any()
 
 
-@pytest.mark.parametrize("op", ["gru_sequence", "gat_layer", "gcn_layer", "residual_norm"])
+@pytest.mark.parametrize(
+    "op", ["gru_sequence", "gat_layer", "gcn_layer", "residual_norm", "linear", "attention_pool"]
+)
 def test_fused_backward_never_writes_its_incoming_gradient(op):
     """The Record contract for the fused kernels that work in place: handed
     a read-only gradient, each backward must return the same bits as from
@@ -205,10 +208,18 @@ def test_fused_backward_never_writes_its_incoming_gradient(op):
     elif op == "gcn_layer":
         adj, w = build_normalized_adjacency(chain_topology(n)), p(h, h)
         build = lambda: gcn_forward(adj, x, w, act="elu")  # noqa: E731
-    else:
+    elif op == "residual_norm":
         block, gain, bias = p(t_len, n, h), p(h), p(h)
         build = lambda: ops.residual_norm(block, x, gain, bias, 1e-5)  # noqa: E731
-    grad = rng.normal(0.0, 1.0, x.shape)
+    elif op == "linear":
+        w, b = p(h, 3), p(3)
+        build = lambda: ops.linear(x, w, b)  # noqa: E731
+    else:
+        h_final, attn_w, attn_b = p(t_len, 3, n, h), p(n * h), p(1)
+        mask = np.ones((3, t_len), dtype=bool)
+        mask[1, -1] = False
+        build = lambda: temporal_attention_pool(attn_w, attn_b, h_final, mask, time_major=True)  # noqa: E731
+    grad = rng.normal(0.0, 1.0, build().shape)
     frozen = grad.copy()
     frozen.setflags(write=False)
     results = []
