@@ -201,6 +201,18 @@ def gru_cell_step(p: GRUCellParams, h_prev: Tensor, x: Tensor) -> Tensor:
     return _from_rows(squeeze, h_new)
 
 
+def _sum_of_products(pairs) -> np.ndarray:
+    """Sum a @ b over the (a, b) pairs, one product at a time and in order:
+    the bits of a batched matmul's ``.sum(axis=0)`` without its stack of
+    products."""
+    pairs = iter(pairs)
+    total = np.matmul(*next(pairs))
+    prod = np.empty_like(total)
+    for a, b in pairs:
+        total += np.matmul(a, b, out=prod)
+    return total
+
+
 def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     """Run the GRU along axis 0 of ``inputs`` ([T, d] with h0 [h], or
     [T, R, d] with h0 [R, h]) and return the stacked states [T, (R,) h].
@@ -210,8 +222,9 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     only the output states and each step's z, r and candidate activations,
     written over its projection; untaped, every step reuses one gate slot.
     Backward writes the local factors z(1-z), r(1-r) and 1-h~^2 of all
-    steps before its reverse loop, and reads the previous states for the
-    weight gradients from the saved output.
+    steps before its reverse loop, reads the previous states for the
+    weight gradients from the saved output, and sums each weight gradient
+    one step's product at a time.
     """
     if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
         raise ShapeError(f"gru_sequence expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
@@ -263,10 +276,6 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     def back(grad):
         grad_fm = grad.reshape(states.shape).transpose(0, 2, 1)
         h_prevs = states[:-1].transpose(0, 2, 1)  # feature-major views
-        # r * h_prev of all steps; made after the loop, it left a larger heap
-        q = np.empty((t_len, h, rows))
-        np.multiply(gates[0, h:2 * h], h_init, out=q[0])
-        np.multiply(gates[1:, h:2 * h], h_prevs, out=q[1:])
         # local factors z(1-z), r(1-r) and 1-h~^2 of every step; the
         # reverse loop multiplies each step's upstream terms into them
         d_gates = np.empty_like(gates)
@@ -290,14 +299,13 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
             dh += np.matmul(w_zr.T, d_gates[t, :2 * h], out=tmp)
 
         d_x = np.matmul(d_gates.transpose(0, 2, 1), w_x).reshape(inputs.shape)
-        d_wx = np.matmul(d_gates, x).sum(axis=0)
+        d_wx = _sum_of_products(zip(d_gates, x))
         d_b = d_gates.sum(axis=(0, 2))
         # the previous states, row-major [R, h], are the saved output itself
-        prod = np.empty((t_len, 2 * h, h))
-        np.matmul(d_gates[0, :2 * h], h_init.T, out=prod[0])
-        np.matmul(d_gates[1:, :2 * h], states[:-1], out=prod[1:])
-        d_wzr = prod.sum(axis=0)
-        d_whh = np.matmul(d_gates[:, 2 * h:], q.transpose(0, 2, 1)).sum(axis=0)
+        d_wzr = _sum_of_products(zip(d_gates[:, :2 * h], [h_init.T, *states[:-1]]))
+        # r * h_prev, made one step at a time
+        d_whh = _sum_of_products((d_gates[t, 2 * h:], np.multiply(gates[t, h:2 * h], h_prev, out=tmp).T)
+                                 for t, h_prev in enumerate([h_init, *h_prevs]))
         d_w = [np.concatenate((rec, d_wx[k * h:(k + 1) * h]), axis=1)
                for k, rec in enumerate((d_wzr[:h], d_wzr[h:], d_whh))]
         d_h0 = np.ascontiguousarray(dh.T).reshape(h0.shape)

@@ -281,28 +281,38 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def residual_norm(block: Tensor, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """LN(block + x) over the last axis, then gain and bias, as one record that
-    saves only x-hat and 1/sigma (Ba et al. 2016, arXiv 1607.06450); its
-    backward returns one gradient for both ``block`` and ``x``."""
+    saves only the row means and 1/sigma, two [rows, 1] columns (Ba et al.
+    2016, arXiv 1607.06450). Its backward rebuilds x-hat from ``block`` and
+    ``x``, which the tape holds anyway, with the forward's own calls, and
+    returns one gradient for both."""
     h = x.shape[-1]
     if block.shape != x.shape or gain.shape != (h,) or bias.shape != (h,):
         raise ShapeError(f"residual_norm: block {list(block.shape)}, input {list(x.shape)}, "
                          f"gain {list(gain.shape)} and bias {list(bias.shape)} do not agree")
-    xhat = block.data + x.data  # centred and scaled in place
-    rows = xhat.reshape(-1, h)
+    bd, xd, gd = block.data, x.data, gain.data
+    y = bd + xd  # centred and scaled in place into x-hat, then y over it
+    rows = y.reshape(-1, h)
     mean_w = np.full(h, 1.0 / h)
-    rows -= (rows @ mean_w)[:, None]
+    means = (rows @ mean_w)[:, None]
+    rows -= means
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows) / h + eps)[:, None]
     rows *= inv
-    taped = active_tape() is not None and any(t.requires_grad for t in (block, x, gain, bias))
-    y = np.multiply(xhat, gain.data, out=None if taped else xhat)  # untaped: in place, same bits
+    y *= gd
     y += bias.data
 
     def back(g):
         g = g.reshape(-1, h)  # a row-major copy when g is a transposed view
-        dx = g * gain.data  # the gradient of x-hat
-        dx -= rows * (np.einsum("ij,ij->i", dx, rows) / h)[:, None] + (dx @ mean_w)[:, None]
+        rows = (bd + xd).reshape(-1, h)  # x-hat, rebuilt with the forward's calls
+        rows -= means
+        rows *= inv
+        dx = g * gd  # the gradient of x-hat
+        d_gain = np.einsum("ij,ij->j", g, rows)
+        # x-hat is spent: its buffer takes the correction term
+        rows *= (np.einsum("ij,ij->i", dx, rows) / h)[:, None]
+        rows += (dx @ mean_w)[:, None]
+        dx -= rows
         dx *= inv
-        return dx.reshape(xhat.shape), dx.reshape(xhat.shape), np.einsum("ij,ij->j", g, rows), g.sum(axis=0)
+        return dx.reshape(xd.shape), dx.reshape(xd.shape), d_gain, g.sum(axis=0)
 
     return _emit("residual_norm", (block, x, gain, bias), y, back)
 

@@ -50,7 +50,7 @@ class Tensor:
     read-only or shared view, so never write into it) on tracked leaves
     only and leaves it None on intermediate outputs. Outputs of recorded
     ops are treated as immutable; parameters (leaves) may be rewritten in
-    place between training steps.
+    place, or given new arrays, between training steps.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tid")

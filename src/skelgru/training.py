@@ -25,7 +25,7 @@ class OptimizerError(RuntimeError):
 
 
 class NumericsError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss, gradient, parameter or validation logit."""
 
 
 # glibc mallopt parameter numbers
@@ -99,15 +99,17 @@ def adamw_step(
     named: list[tuple[str, Tensor]],
     grads: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """One update over every named parameter, in place.
+    """One update over every named parameter.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p); the
     decay term never passes through the adaptive scaling. Gradients come
-    from each tensor's .grad unless an explicit dict is supplied. Every
-    gradient is checked before anything is updated: a missing, misshapen
-    or unregistered one raises OptimizerError and a non-finite one
-    NumericsError, naming the first such parameter in sorted-name order;
-    either leaves the parameters, the moments and the step count untouched.
+    from each tensor's .grad unless an explicit dict is supplied. A
+    missing, misshapen or unregistered gradient raises OptimizerError,
+    naming the first such parameter in sorted-name order. Every new value
+    is then computed apart and checked before any is written: a non-finite
+    gradient, or an update that overflows a parameter, raises
+    NumericsError naming the first such parameter. Either error leaves the
+    parameters, the moments and the step count untouched.
     """
     checked = []
     for name, tensor in sorted(named):
@@ -120,26 +122,34 @@ def adamw_step(
             )
         if name not in state.m:
             raise OptimizerError(f"parameter {name!r} not registered in optimizer state")
-        if not np.isfinite(g).all():
-            raise NumericsError(
-                f"non-finite gradient for parameter {name!r} at optimizer step {state.step + 1}"
-            )
         checked.append((name, tensor, g))
-    state.step += 1
-    t = state.step
+    t = state.step + 1
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, tensor, g in checked:
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay:
-            update = update + state.weight_decay * tensor.data
-        tensor.data -= state.lr * update
+    # each parameter's temporaries share one buffer; its new moments and
+    # values are made apart and swapped in once all are known to be finite
+    scratch = np.empty(max((g.size for _, _, g in checked), default=0))
+    updated = []
+    with np.errstate(over="ignore", invalid="ignore"):  # each new value is checked
+        for name, tensor, g in checked:
+            buf = scratch[:g.size].reshape(g.shape)
+            m = state.m[name] * state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=buf)
+            v = state.v[name] * state.beta2
+            v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=buf), g, out=buf)
+            new = m / bc1
+            new /= np.add(np.sqrt(np.divide(v, bc2, out=buf), out=buf), state.eps, out=buf)
+            if state.weight_decay:
+                new += np.multiply(tensor.data, state.weight_decay, out=buf)
+            new *= state.lr
+            np.subtract(tensor.data, new, out=new)
+            if not np.isfinite(new).all():  # as it always is after a non-finite gradient
+                what = "update overflows" if np.isfinite(g).all() else "non-finite gradient for"
+                raise NumericsError(f"{what} parameter {name!r} at optimizer step {t}")
+            updated.append((name, tensor, m, v, new))
+    state.step = t
+    for name, tensor, m, v, new in updated:
+        state.m[name], state.v[name], tensor.data = m, v, new
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +329,10 @@ def train(
     Writes one structured log record per epoch (epoch, train_loss,
     val_loss, val_acc, wall_seconds) to out_dir/train_log.jsonl and keeps
     the best-validation-accuracy parameters in out_dir/best.ckpt. A
-    non-finite loss aborts with the first offending tensor named, and a
-    non-finite gradient with its parameter named (by adamw_step).
+    non-finite loss aborts with the first offending tensor named, a
+    non-finite gradient or an overflowing update with its parameter named
+    (by adamw_step), and non-finite validation logits with the epoch named,
+    before that epoch's log record or checkpoint is written.
     """
     if len(train_split) == 0 or len(val_split) == 0:
         raise ValueError("train and validation splits must be non-empty")
@@ -368,6 +380,8 @@ def train(
                 sample_losses[idx] = ops.sample_nll(logits.data, batch.labels)[0]
 
             val_logits = eval_logits(params, config, topo, val_split, plan.batch_size)
+            if not np.isfinite(val_logits).all():
+                raise NumericsError(f"non-finite validation logits at epoch {epoch}")
             val_loss = float(ops.sample_nll(val_logits, val_split.labels)[0].mean())
             val_acc = float((val_logits.argmax(axis=1) == val_split.labels).mean())
             record = {

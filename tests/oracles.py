@@ -265,3 +265,32 @@ def attention_pool_per_op_ref(attn_w, attn_b, h_final, mask, time_major=False):
     alpha = ops.softmax_rows(masked)
     pooled = ops.matmul(ops.reshape(alpha, (b, 1, t)), flat)
     return ops.reshape(pooled, (b, n * h))
+
+
+def residual_norm_saving_xhat_ref(block, x, gain, bias, eps):
+    """``ops.residual_norm`` as it was before its backward rebuilt x-hat: the
+    record saves x-hat itself, and y is a new array whenever a tape is
+    active. The rebuilt form must give this output and these four
+    gradients bit for bit."""
+    from skelgru import ops
+    from skelgru.tensor import active_tape
+
+    h = x.shape[-1]
+    xhat = block.data + x.data  # centred and scaled in place
+    rows = xhat.reshape(-1, h)
+    mean_w = np.full(h, 1.0 / h)
+    rows -= (rows @ mean_w)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows) / h + eps)[:, None]
+    rows *= inv
+    taped = active_tape() is not None and any(t.requires_grad for t in (block, x, gain, bias))
+    y = np.multiply(xhat, gain.data, out=None if taped else xhat)
+    y += bias.data
+
+    def back(g):
+        g = g.reshape(-1, h)
+        dx = g * gain.data
+        dx -= rows * (np.einsum("ij,ij->i", dx, rows) / h)[:, None] + (dx @ mean_w)[:, None]
+        dx *= inv
+        return dx.reshape(xhat.shape), dx.reshape(xhat.shape), np.einsum("ij,ij->j", g, rows), g.sum(axis=0)
+
+    return ops._emit("residual_norm", (block, x, gain, bias), y, back)

@@ -1,6 +1,7 @@
 """Recurrent cell steps and sequence unrolling."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -460,3 +461,26 @@ def test_gru_sequence_nan_names_fused_record(rng):
     with Tape() as tape:
         states = gru_sequence(p, xs, rand(rng, (4, 3)))
     assert first_invalid_record(tape) == f"gru_sequence#{states.tid}"
+
+
+def test_desk_gru_sequence_backward_adds_four_and_a_half_streams_at_most(rng):
+    """On a desk stage ([T=32, R=288, h=d=32]) the backward's added peak is
+    the three-stream gate gradient, the input gradient it returns and less
+    than half a stream of smaller buffers: r * h_prev is made one step at a
+    time and each weight gradient summed one product at a time. A full
+    r * h_prev stream and the [T, ., .] stacks of products put it at 5.45
+    streams."""
+    t_len, rows, h = STAGE_SHAPES[0]
+    p = rand_gru(rng, h, h, grad=True, scale=1.0 / np.sqrt(2 * h))
+    with Tape() as tape:
+        states = gru_sequence(p, rand(rng, (t_len, rows, h), grad=True), rand(rng, (rows, h)))
+    (rec,) = tape.records
+    grad = rng.normal(0.0, 1.0, states.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec.backward_fn(grad)
+        added = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert added <= 4.5 * states.data.nbytes

@@ -181,6 +181,24 @@ class TestTrain:
         assert not (tmp_path / "run/best.ckpt").exists()
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_is_numeric_error_before_log_or_checkpoint(self, tmp_path, capsys):
+        """One step at lr 1e308 leaves parameters near 1e308: finite, so the
+        optimizer passes them, but the validation forward overflows. The
+        epoch must neither log NaN (not JSON) nor save a checkpoint."""
+        args = tiny_overrides(tmp_path, **{"optim.lr": 1e308, "train.epochs": 1})
+        assert run("synth", *args) == EXIT_OK
+        assert run("train", *args) == EXIT_NUMERIC
+        assert "non-finite validation logits at epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "run/best.ckpt").exists()
+
+        def refuse(token):
+            raise ValueError(f"{token} in train_log.jsonl")
+
+        for line in (tmp_path / "run/train_log.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=refuse)
+
+
 class TestEval:
     def test_report_matches_training_log(self, tmp_path, capsys):
         args = synth_and_train(tmp_path)

@@ -1,5 +1,7 @@
 """Forward values and gradients of the recorded operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,50 @@ def test_residual_norm_without_tape_records_nothing_and_keeps_bits(rng):
     with Tape() as tape:
         untracked = ops.residual_norm(*frozen, eps=1e-5)
     assert len(tape) == 0 and np.array_equal(untracked.data, taped.data)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (32, 32, 9, 32), (32, 4, 17, 64)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_residual_norm_matches_saving_xhat_oracle_bit_for_bit(rng, shape, transposed):
+    """The record that rebuilds x-hat in backward gives the output and the
+    four gradients of the one that saved it (a desk and a deep stage's
+    shapes among them), also for an incoming gradient with its first two
+    axes swapped, the view ``attention_pool`` hands the last stage."""
+    h = shape[-1]
+    block, x, gain, bias = rand(rng, shape), rand(rng, shape, scale=3.0), rand(rng, (h,)), rand(rng, (h,))
+    if transposed:
+        g = rng.normal(0.0, 1.0, (shape[1], shape[0]) + shape[2:]).swapaxes(0, 1)
+    else:
+        g = rng.normal(0.0, 1.0, shape)
+    results = []
+    for fn in (oracles.residual_norm_saving_xhat_ref, ops.residual_norm):
+        with Tape() as tape:
+            out = fn(block, x, gain, bias, 1e-5)
+        (rec,) = tape.records
+        results.append([out.data, *rec.backward_fn(g)])
+    for want, got in zip(*results):
+        assert want.shape == got.shape and want.tobytes() == got.tobytes()
+
+
+def test_taped_desk_residual_norm_holds_its_output_and_two_columns(rng):
+    """On a desk stage's stream ([T=32, B=32, chain:9, H=32]) the taped
+    record holds its output and the row means and 1/sigma, not x-hat (the
+    record that saved x-hat held about twice its output)."""
+    shape = (32, 32, 9, 32)
+    block, x, gain, bias = rand(rng, shape), rand(rng, shape), rand(rng, (32,)), rand(rng, (32,))
+    untaped = ops.residual_norm(block, x, gain, bias, 1e-5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            taped = ops.residual_norm(block, x, gain, bias, 1e-5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [rec.op for rec in tape.records] == ["residual_norm"]
+    columns = 2 * 8 * (taped.size // 32)
+    assert held <= 1.05 * (taped.data.nbytes + columns)
+    assert np.array_equal(taped.data, untaped.data)
 
 
 def test_cross_entropy_matches_oracle(rng):

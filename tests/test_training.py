@@ -139,6 +139,22 @@ class TestAdamW:
             assert np.array_equal(t.data, p)
             assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
 
+    def test_overflowing_update_touches_nothing(self):
+        """A parameter at 1.5e308 pushed up by about lr = 1e308 would pass
+        the float64 maximum: the step names it and writes nothing, not even
+        the finite update of the parameter before it in sorted-name order."""
+        named = [("w", tensor_param([1.5e308, 0.0])), ("a", tensor_param([1.0]))]
+        state = init_adamw(named, lr=1e-3)
+        adamw_step(state, named, grads={"w": np.array([-1.0, 1.0]), "a": np.ones(1)})
+        state.lr = 1e308
+        before = [(t.data.copy(), state.m[k].copy(), state.v[k].copy()) for k, t in named]
+        with pytest.raises(NumericsError, match="update overflows parameter 'w' at optimizer step 2"):
+            adamw_step(state, named, grads={"w": np.array([-1.0, 1.0]), "a": np.ones(1)})
+        assert state.step == 1
+        for (k, t), (p, m, v) in zip(named, before):
+            assert np.array_equal(t.data, p)
+            assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+
     def test_unregistered_parameter(self):
         p = tensor_param([1.0])
         state = init_adamw([], lr=1e-3)
