@@ -90,34 +90,37 @@ _CONFIG_KINDS = typing.get_type_hints(ModelConfig)
 
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path, topology_hash: str = "") -> None:
-    """Write params and config; topology_hash pins the skeleton layout."""
-    parts = [MAGIC, struct.pack("<H", VERSION)]
+    """Write params and config; topology_hash pins the skeleton layout.
+
+    Each part goes straight to the file and into a running sha256, and
+    each payload from the parameter's own buffer, so a save holds no copy
+    of the parameters.
+    """
     cfg = format_fields(dataclasses.asdict(config), quote_strings=True).encode("utf-8")
-    parts.append(struct.pack("<I", len(cfg)))
-    parts.append(cfg)
     topo = topology_hash.encode("utf-8")
-    parts.append(struct.pack("<I", len(topo)))
-    parts.append(topo)
-    named = named_parameters(params)
-    parts.append(struct.pack("<I", len(named)))
-    for name, tensor in sorted(named):
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        parts.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            parts.append(struct.pack("<I", dim))
-        parts.append(arr.tobytes())
-    body = b"".join(parts)
+    named = sorted(named_parameters(params))
+    digest = hashlib.sha256()
     # Write a sibling temp file and rename it over ``path``, so that a crash
     # or a failed write leaves the previous checkpoint whole.
     tmp = f"{os.fspath(path)}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(body)
-            fh.write(hashlib.sha256(body).digest())
+            def put(part) -> None:
+                digest.update(part)
+                fh.write(part)
+
+            put(MAGIC + struct.pack("<H", VERSION))
+            put(struct.pack("<I", len(cfg)) + cfg)
+            put(struct.pack("<I", len(topo)) + topo)
+            put(struct.pack("<I", len(named)))
+            for name, tensor in named:
+                encoded = name.encode("utf-8")
+                arr = np.ascontiguousarray(tensor.data, dtype="<f8")
+                put(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                                arr.ndim, *arr.shape))
+                put(memoryview(arr).cast("B"))
+            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -45,12 +45,18 @@ _tensor_ids = itertools.count(1)
 class Tensor:
     """A dense n-dimensional array of 64-bit floats, row-major.
 
-    ``data`` is always a C-contiguous float64 ndarray. ``grad`` starts as
-    None; :func:`backward` sets it (same shape as ``data``, possibly a
-    read-only or shared view, so never write into it) on tracked leaves
-    only and leaves it None on intermediate outputs. Outputs of recorded
+    ``data`` is always a C-contiguous float64 ndarray. Outputs of recorded
     ops are treated as immutable; parameters (leaves) may be rewritten in
-    place, or given new arrays, between training steps.
+    place between training steps, which is how
+    :func:`skelgru.training.adamw_step` updates them.
+
+    ``grad`` starts as None. :func:`backward` clears it on every tracked
+    input of the tape, then sets it on tracked leaves only (same shape as
+    ``data``, possibly a read-only or shared view, so never write into
+    it) and leaves it None on intermediate outputs. A training step's
+    ``adamw_step`` applies each leaf's gradient and sets ``grad`` back to
+    None, so a parameter holds a gradient only between its backward and
+    its optimizer step.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tid")

@@ -99,17 +99,24 @@ def adamw_step(
     named: list[tuple[str, Tensor]],
     grads: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """One update over every named parameter.
+    """One update over every named parameter, written in place.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p); the
     decay term never passes through the adaptive scaling. Gradients come
     from each tensor's .grad unless an explicit dict is supplied. A
     missing, misshapen or unregistered gradient raises OptimizerError,
-    naming the first such parameter in sorted-name order. Every new value
-    is then computed apart and checked before any is written: a non-finite
-    gradient, or an update that overflows a parameter, raises
-    NumericsError naming the first such parameter. Either error leaves the
-    parameters, the moments and the step count untouched.
+    naming the first such parameter in sorted-name order. Every new moment
+    and value is then computed apart and checked before any is written: a
+    non-finite gradient, a gradient whose square overflows the second
+    moment, or an update that overflows a parameter raises NumericsError
+    naming the first such parameter. Either error leaves the parameters,
+    the moments, the step count and every .grad untouched.
+
+    A step that succeeds copies the new values into the arrays that
+    ``tensor.data``, ``state.m`` and ``state.v`` already hold, and sets
+    ``.grad`` to None on every tensor whose gradient it read from there,
+    so no applied gradient outlives the step; an explicit dict and the
+    .grad of its tensors are left as they are.
     """
     checked = []
     for name, tensor in sorted(named):
@@ -127,7 +134,7 @@ def adamw_step(
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     # each parameter's temporaries share one buffer; its new moments and
-    # values are made apart and swapped in once all are known to be finite
+    # values are made apart and copied in once all are known to be finite
     scratch = np.empty(max((g.size for _, _, g in checked), default=0))
     updated = []
     with np.errstate(over="ignore", invalid="ignore"):  # each new value is checked
@@ -143,13 +150,23 @@ def adamw_step(
                 new += np.multiply(tensor.data, state.weight_decay, out=buf)
             new *= state.lr
             np.subtract(tensor.data, new, out=new)
-            if not np.isfinite(new).all():  # as it always is after a non-finite gradient
-                what = "update overflows" if np.isfinite(g).all() else "non-finite gradient for"
+            # an infinite v leaves new finite (its update is 0), so both are checked
+            if not (np.isfinite(new).all() and np.isfinite(v).all()):
+                if not np.isfinite(g).all():
+                    what = "non-finite gradient for"
+                elif not np.isfinite(v).all():
+                    what = "gradient overflows the second moment of"
+                else:
+                    what = "update overflows"
                 raise NumericsError(f"{what} parameter {name!r} at optimizer step {t}")
             updated.append((name, tensor, m, v, new))
     state.step = t
     for name, tensor, m, v, new in updated:
-        state.m[name], state.v[name], tensor.data = m, v, new
+        state.m[name][...] = m
+        state.v[name][...] = v
+        tensor.data[...] = new
+        if grads is None:
+            tensor.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +345,14 @@ def train(
 
     Writes one structured log record per epoch (epoch, train_loss,
     val_loss, val_acc, wall_seconds) to out_dir/train_log.jsonl and keeps
-    the best-validation-accuracy parameters in out_dir/best.ckpt. A
-    non-finite loss aborts with the first offending tensor named, a
-    non-finite gradient or an overflowing update with its parameter named
-    (by adamw_step), and non-finite validation logits with the epoch named,
-    before that epoch's log record or checkpoint is written.
+    the best-validation-accuracy parameters in out_dir/best.ckpt. Each
+    step updates the parameters in place and releases their gradients, so
+    none holds a gradient between steps or after the call. A non-finite
+    loss aborts with the first offending tensor named; a non-finite
+    gradient, an overflowing second moment or an overflowing update with
+    its parameter named (by adamw_step); and non-finite validation logits
+    with the epoch named, before that epoch's log record or checkpoint is
+    written.
     """
     if len(train_split) == 0 or len(val_split) == 0:
         raise ValueError("train and validation splits must be non-empty")

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from skelgru import checkpoint
 from skelgru.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from skelgru.graph import chain_topology
-from skelgru.model import init_model_params, named_parameters, tiny_reference_config
+from skelgru.model import ModelConfig, init_model_params, named_parameters, tiny_reference_config
 
 
 def resign(body: bytes) -> bytes:
@@ -77,6 +78,22 @@ class TestRoundTrip:
         _, _, path, _ = saved
         loaded, _, _ = load_checkpoint(path)
         assert all(t.requires_grad for _, t in named_parameters(loaded))
+
+    def test_save_holds_no_copy_of_the_parameters(self, tmp_path):
+        # the paper's head widths: 8.3 MB of parameters, most in fc1.w
+        config = ModelConfig(stages=1, gnn_kind="gcn", hidden=64, n_nodes=17, classes=226)
+        params = init_model_params(config, seed=0)
+        size = sum(t.data.nbytes for _, t in named_parameters(params))
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, config, tmp_path / "wide.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size, f"a save of {size} parameter bytes allocated {peak}"
+        loaded, _, _ = load_checkpoint(tmp_path / "wide.ckpt")
+        assert all(np.array_equal(t.data, dict(named_parameters(params))[k].data)
+                   for k, t in named_parameters(loaded))
 
 
 class TestCorruption:

@@ -181,6 +181,23 @@ class TestTrain:
         assert not (tmp_path / "run/best.ckpt").exists()
 
 
+    def test_second_moment_overflow_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        args = tiny_overrides(tmp_path)
+        assert run("synth", *args) == EXIT_OK
+        real_backward = training.backward
+
+        def huge_backward(tape, loss):  # every gradient finite, its square not
+            tracked = [t for rec in tape.records for t in rec.inputs if t.requires_grad]
+            real_backward(tape, loss)
+            for t in tracked:
+                if t.grad is not None:
+                    t.grad = np.full(t.shape, 1e200)
+
+        monkeypatch.setattr(training, "backward", huge_backward)
+        assert run("train", *args) == EXIT_NUMERIC
+        assert "overflows the second moment of parameter" in capsys.readouterr().err
+        assert not (tmp_path / "run/best.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_is_numeric_error_before_log_or_checkpoint(self, tmp_path, capsys):
         """One step at lr 1e308 leaves parameters near 1e308: finite, so the
