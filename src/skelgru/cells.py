@@ -14,12 +14,12 @@ with z gating the candidate (some libraries swap the two terms).
 hand-written backward through time (Appleyard et al. 2016, arXiv
 1604.01946): the input halves of the three gate weights project each
 step's input in one matmul, the z and r recurrent halves share one
-matmul per step, and backward collects the gate pre-activation
-gradients of all steps so the input, input-weight and bias gradients
-each take one matmul or sum. Both step loops work in place in buffers
-made once per call; the record saves only the gate activations and the
-output states. ``gru_cell_step`` stays as the per-op reference it is
-checked against.
+matmul per step, and backward writes each step's gate pre-activation
+gradients over that step's spent activations, so the input, input-weight
+and bias gradients of all steps each take one matmul or sum. Both step
+loops work in place in buffers made once per call; the record saves only
+the gate activations and the output states. ``gru_cell_step`` stays as
+the per-op reference it is checked against.
 """
 
 from __future__ import annotations
@@ -201,18 +201,6 @@ def gru_cell_step(p: GRUCellParams, h_prev: Tensor, x: Tensor) -> Tensor:
     return _from_rows(squeeze, h_new)
 
 
-def _sum_of_products(pairs) -> np.ndarray:
-    """Sum a @ b over the (a, b) pairs, one product at a time and in order:
-    the bits of a batched matmul's ``.sum(axis=0)`` without its stack of
-    products."""
-    pairs = iter(pairs)
-    total = np.matmul(*next(pairs))
-    prod = np.empty_like(total)
-    for a, b in pairs:
-        total += np.matmul(a, b, out=prod)
-    return total
-
-
 def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     """Run the GRU along axis 0 of ``inputs`` ([T, d] with h0 [h], or
     [T, R, d] with h0 [R, h]) and return the stacked states [T, (R,) h].
@@ -221,10 +209,10 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     one tape op over (inputs, h0, w_z, b_z, w_r, b_r, w_h, b_h) that saves
     only the output states and each step's z, r and candidate activations,
     written over its projection; untaped, every step reuses one gate slot.
-    Backward writes the local factors z(1-z), r(1-r) and 1-h~^2 of all
-    steps before its reverse loop, reads the previous states for the
-    weight gradients from the saved output, and sums each weight gradient
-    one step's product at a time.
+    Backward writes each step's gate gradients over its spent z, r and h~,
+    reads the previous states from the saved output and sums each weight
+    gradient one step's product at a time, so it adds one [T, h, R] stream
+    of r * h_prev, the input gradient it returns and [h, R] buffers.
     """
     if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
         raise ShapeError(f"gru_sequence expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
@@ -259,12 +247,10 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
         g += bias
         zr = g[:2 * h]
         zr += np.matmul(w_zr, h_cur, out=mm)
-        np.exp(np.negative(zr, out=zr), out=zr)
-        zr += 1.0
-        np.divide(1.0, zr, out=zr)
+        ops.UNARY["sigmoid"][0](zr, out=zr)
         z, r, cand = g[:h], g[h:2 * h], g[2 * h:]
         cand += np.matmul(w_hh, np.multiply(r, h_cur, out=tmp), out=mm[:h])
-        np.tanh(cand, out=cand)
+        ops.UNARY["tanh"][0](cand, out=cand)
         np.multiply(np.subtract(1.0, z, out=tmp), h_cur, out=tmp)
         np.add(tmp, np.multiply(z, cand, out=mm[:h]), out=h_cur)  # (1-z) h_prev + z h~
         states[t] = h_cur.T
@@ -275,37 +261,35 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
 
     def back(grad):
         grad_fm = grad.reshape(states.shape).transpose(0, 2, 1)
-        h_prevs = states[:-1].transpose(0, 2, 1)  # feature-major views
-        # local factors z(1-z), r(1-r) and 1-h~^2 of every step; the
-        # reverse loop multiplies each step's upstream terms into them
-        d_gates = np.empty_like(gates)
-        zr, cand = gates[:, :2 * h], gates[:, 2 * h:]
-        np.multiply(zr, np.subtract(1.0, zr, out=d_gates[:, :2 * h]), out=d_gates[:, :2 * h])
-        np.subtract(1.0, np.multiply(cand, cand, out=d_gates[:, 2 * h:]), out=d_gates[:, 2 * h:])
+        h_prevs = [h_init, *states[:-1].transpose(0, 2, 1)]  # feature-major views
+        rh = np.empty((t_len, h, rows))  # r * h_prev of every step, for d_w_hh
         dh = np.zeros_like(h_init)
-        dq = np.empty_like(h_init)
-        tmp = np.empty_like(h_init)
-        for t in reversed(range(t_len)):
-            h_prev = h_prevs[t - 1] if t else h_init
+        dq, tmp, up = np.empty_like(h_init), np.empty_like(h_init), np.empty_like(h_init)
+        for t, h_prev in reversed(list(enumerate(h_prevs))):
+            # each gate's gradient overwrites its spent activation: the local
+            # factor z(1-z), r(1-r) or 1-h~^2 times the step's upstream term
             z, r, cand = gates[t, :h], gates[t, h:2 * h], gates[t, 2 * h:]
-            dz, dr, dc = d_gates[t, :h], d_gates[t, h:2 * h], d_gates[t, 2 * h:]
+            np.multiply(r, h_prev, out=rh[t])
             dh += grad_fm[t]
-            dc *= np.multiply(dh, z, out=tmp)
-            np.matmul(w_hh.T, dc, out=dq)
-            dz *= np.multiply(np.subtract(cand, h_prev, out=tmp), dh, out=tmp)
-            dr *= np.multiply(dq, h_prev, out=tmp)
+            np.multiply(np.subtract(cand, h_prev, out=up), dh, out=up)  # dz's upstream term
+            np.subtract(1.0, np.multiply(cand, cand, out=cand), out=cand)
+            cand *= np.multiply(dh, z, out=tmp)
+            np.matmul(w_hh.T, cand, out=dq)
             dh *= np.subtract(1.0, z, out=tmp)
+            z *= tmp
+            z *= up
             dh += np.multiply(dq, r, out=tmp)
-            dh += np.matmul(w_zr.T, d_gates[t, :2 * h], out=tmp)
+            r *= np.subtract(1.0, r, out=up)
+            r *= np.multiply(dq, h_prev, out=tmp)
+            dh += np.matmul(w_zr.T, gates[t, :2 * h], out=tmp)
 
+        d_gates = gates
         d_x = np.matmul(d_gates.transpose(0, 2, 1), w_x).reshape(inputs.shape)
-        d_wx = _sum_of_products(zip(d_gates, x))
+        d_wx = ops.sum_of_products(zip(d_gates, x))
         d_b = d_gates.sum(axis=(0, 2))
         # the previous states, row-major [R, h], are the saved output itself
-        d_wzr = _sum_of_products(zip(d_gates[:, :2 * h], [h_init.T, *states[:-1]]))
-        # r * h_prev, made one step at a time
-        d_whh = _sum_of_products((d_gates[t, 2 * h:], np.multiply(gates[t, h:2 * h], h_prev, out=tmp).T)
-                                 for t, h_prev in enumerate([h_init, *h_prevs]))
+        d_wzr = ops.sum_of_products(zip(d_gates[:, :2 * h], [h_init.T, *states[:-1]]))
+        d_whh = ops.sum_of_products(zip(d_gates[:, 2 * h:], rh.transpose(0, 2, 1)))
         d_w = [np.concatenate((rec, d_wx[k * h:(k + 1) * h]), axis=1)
                for k, rec in enumerate((d_wzr[:h], d_wzr[h:], d_whh))]
         d_h0 = np.ascontiguousarray(dh.T).reshape(h0.shape)

@@ -49,6 +49,8 @@ class KeypointSequence:
             raise DataFormatError(f"sample {self.id!r}: non-finite coordinate")
         if self.label < 0:
             raise DataFormatError(f"sample {self.id!r}: negative label {self.label}")
+        if self.label > np.iinfo(np.int64).max:
+            raise DataFormatError(f"sample {self.id!r}: label {self.label} does not fit in int64")
 
     @property
     def n_nodes(self) -> int:
@@ -135,7 +137,7 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
                     raise DataFormatError(f"{path}:{lineno}: label {label!r} is not an integer")
                 try:
                     seq = KeypointSequence(str(rec["id"]), label, rec["frames"])
-                except (DataFormatError, TypeError, ValueError) as exc:
+                except (DataFormatError, TypeError, ValueError, OverflowError) as exc:
                     raise DataFormatError(f"{path}:{lineno}: {exc}") from None
                 if seq.n_nodes != topo.n_nodes:
                     raise DataFormatError(

@@ -132,13 +132,15 @@ def read_topology_file(path) -> SkeletonTopology:
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()
+                if parts[0] == "n_nodes" and n_nodes is not None:
+                    raise TopologyError(f"{path}:{lineno}: second n_nodes line {line!r}")
                 try:
                     if parts[0] == "n_nodes" and len(parts) == 2:
                         n_nodes = int(parts[1])
                     elif parts[0] == "edge" and len(parts) == 3:
                         edges.append((int(parts[1]), int(parts[2])))
                     elif parts[0] == "name" and len(parts) == 3:
-                        names[int(parts[1])] = parts[2]
+                        names[int(parts[1])] = (parts[2], lineno)
                     else:
                         raise ValueError
                 except ValueError:
@@ -147,9 +149,12 @@ def read_topology_file(path) -> SkeletonTopology:
         raise TopologyError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if n_nodes is None:
         raise TopologyError(f"{path}: missing n_nodes line")
+    for i, (_, lineno) in names.items():
+        if not 0 <= i < n_nodes:
+            raise TopologyError(f"{path}:{lineno}: name index {i} outside [0, {n_nodes})")
     name_tuple = None
     if names:
-        name_tuple = tuple(names.get(i, f"node{i}") for i in range(n_nodes))
+        name_tuple = tuple(names[i][0] if i in names else f"node{i}" for i in range(n_nodes))
     return SkeletonTopology(n_nodes, tuple(edges), name_tuple)
 
 
@@ -177,7 +182,8 @@ def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
     independent frames. Records one tape op over (h, w) whose backward
     keeps only the output, which gives the activation's derivative, and
     recomputes adj @ h with the forward's call, so every gradient has the
-    bits of the per-op product chain.
+    bits of the per-op product chain. It sums the weight gradient one
+    frame's product at a time, so it adds two streams of h's size at most.
     """
     if act not in ops.UNARY:
         raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
@@ -187,16 +193,22 @@ def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
         raise ShapeError(f"GCN input {list(h.shape)} does not match table {list(adj.shape)} "
                          f"and weights {list(w.shape)}")
     fn, dfn = ops.UNARY[act]
-    out = Tensor(fn(np.matmul(np.matmul(adj.data, h.data), w.data)))
+    pre = np.matmul(np.matmul(adj.data, h.data), w.data)
+    out = Tensor(fn(pre, out=pre))
     tape = active_tape()
     if tape is None or not (h.requires_grad or w.requires_grad):
         return out
     ad, hd, wd = adj.data, h.data, w.data
+    (n, d_in), d_out = hd.shape[-2:], wd.shape[1]
 
     def back(grad):
-        d = grad * dfn(out.data)
-        d_w = np.matmul(np.swapaxes(np.matmul(ad, hd), -1, -2), d)
-        return np.matmul(ad.T, np.matmul(d, wd.T)), d_w.sum(axis=tuple(range(d_w.ndim - 2)))
+        d = dfn(out.data)
+        d *= grad
+        # frame by frame, so no [frames, d_in, d_out] stack of products is made
+        d_w = ops.sum_of_products(zip(np.swapaxes(np.matmul(ad, hd), -1, -2).reshape(-1, d_in, n),
+                                      d.reshape(-1, n, d_out)))
+        d = np.matmul(d, wd.T)
+        return np.matmul(ad.T, d), d_w
 
     out.requires_grad = True
     tape.record("gcn_layer", (h, w), out, back)
@@ -244,9 +256,10 @@ def _attend(params: GATLayerParams, h: Tensor, topo: SkeletonTopology):
     s = np.matmul(scorer, p)  # [N, 2K, M]
     e = s[:, None, :k] + s[nbr, k:]
     pos = e > 0
-    e *= ops.UNARY["leaky_relu"][1](pos)  # the slope reads only the sign
+    ops.UNARY["leaky_relu"][0](e, out=e)
     e[pad] = -np.inf
-    alpha = np.exp(e - e.max(axis=1, keepdims=True))
+    e -= e.max(axis=1, keepdims=True)  # the softmax, in place: e becomes alpha
+    alpha = np.exp(e, out=e)
     alpha /= alpha.sum(axis=1, keepdims=True)
     return w_cat, scorer, ht, p, alpha, pos
 
@@ -272,7 +285,9 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     gives the activation's derivative, but no projection P, which backward
     rebuilds with the forward's own matmul and so with the same bits, and no
     pre-activation. With no tape, or nothing tracked, it keeps no
-    intermediates and returns the same bits.
+    intermediates and returns the same bits. The softmax and activation run
+    in place. Backward adds P and the gradients of the output and of P, with
+    the output's gradient in two layouts for a moment: four streams at most.
     """
     if act not in ops.UNARY:
         raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
@@ -281,12 +296,13 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     nbr, pad = topo.neighbor_slots
     (n, kd, m), k = p.shape, params.heads
     p4 = p.reshape(n, k, -1, m)
-    # One (node, slot, neighbor) pair at a time: every operand is a
-    # contiguous [K, d, M] slab, and the [N, D, K*d, M] gather never exists.
+    # One (node, slot, neighbor) pair at a time: every operand and product
+    # is a contiguous [K, d, M] slab, and the [N, D, K*d, M] gather never exists.
     pairs = [(v, j, nbr[v, j]) for v, j in zip(*np.nonzero(~pad))]
+    slab = np.empty_like(p4[0])
     z = np.zeros_like(p4)
     for v, j, u in pairs:
-        z[v] += alpha[v, j, :, None] * p4[u]
+        z[v] += np.multiply(alpha[v, j, :, None], p4[u], out=slab)
     ins = (h, *params.w, *params.a)
     tape = active_tape()
     taped = tape is not None and any(t.requires_grad for t in ins)
@@ -295,26 +311,32 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
         del alpha, pos
     x = np.ascontiguousarray(z.reshape(n, kd, m).transpose(2, 0, 1))  # [M, N, K*d]
     del z
-    out = Tensor(fn(x).reshape(h.shape[:-1] + (kd,)))
+    out = Tensor(fn(x, out=x).reshape(h.shape[:-1] + (kd,)))
     if not taped:
         return out
 
     def back(grad):
         p = np.matmul(w_cat.T, ht)  # the forward's call, so the same bits
         p4 = p.reshape(n, k, -1, m)
-        dx = grad.reshape(m, n, kd) * dfn(out.data.reshape(m, n, kd))
+        dx = dfn(out.data.reshape(m, n, kd))
+        dx *= grad.reshape(m, n, kd)
         dz = np.ascontiguousarray(dx.transpose(1, 2, 0)).reshape(p4.shape)
+        del dx
         d_alpha, d_p = np.zeros_like(alpha), np.zeros_like(dz)
+        slab = np.empty_like(dz[0])
         for v, j, u in pairs:
-            d_alpha[v, j] = (dz[v] * p4[u]).sum(axis=1)
-            d_p[u] += alpha[v, j, :, None] * dz[v]
+            d_alpha[v, j] = np.multiply(dz[v], p4[u], out=slab).sum(axis=1)
+            d_p[u] += np.multiply(alpha[v, j, :, None], dz[v], out=slab)
+        del dz
         d_e = d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True)
-        d_e *= alpha * ops.UNARY["leaky_relu"][1](pos)
+        d_e *= alpha * ops.UNARY["leaky_relu"][1](pos, out=d_alpha)  # d_alpha is spent
         d_s = np.concatenate((d_e.sum(axis=1), np.zeros((n, k, m))), axis=1)
         for v, j, u in pairs:
             d_s[u, k:] += d_e[v, j]
-        d_p = d_p.reshape(p.shape) + np.matmul(scorer.T, d_s)
         d_a = np.einsum("nskm,nkcm->skc", d_s.reshape(n, 2, k, m), p4)
+        del p, p4
+        d_p = d_p.reshape(n, kd, m)
+        d_p += np.matmul(scorer.T, d_s)
         d_w = np.matmul(ht, d_p.transpose(0, 2, 1)).sum(axis=0).reshape(-1, k, kd // k)
         d_h = np.matmul(w_cat, d_p).transpose(2, 0, 1).reshape(h.shape)
         return (d_h, *(d_w[:, i] for i in range(k)), *(d_a[:, i].ravel() for i in range(k)))

@@ -282,7 +282,9 @@ def temporal_attention_pool(
     alpha and reads the frames through a view, so no copy of the stream is
     made. Its backward makes the per-op chain's numpy calls in that chain's
     order and adds the frames' two gradients (through the weighted sum, then
-    through the scores) as its tape did, so every gradient has its bits.
+    through the scores) as its tape did, so every gradient has its bits,
+    straight into a C-contiguous array in ``h_final``'s own layout; besides
+    that array it adds one sample's [T, N*H] slab.
     """
     frames, alpha = _frames_and_weights(attn_w, attn_b, h_final, mask, time_major)
     b, t, width = frames.shape
@@ -297,13 +299,17 @@ def temporal_attention_pool(
     def back(grad):
         g = grad.reshape(b, 1, width)
         d_alpha = np.matmul(g, np.swapaxes(frames, -1, -2)).reshape(b, t)
-        d_frames = np.matmul(np.swapaxes(alpha3, -1, -2), g)
+        # the chain's k=1 matmuls, written into h_final's layout a sample at a time
+        d_h = np.empty(h_final.shape)
+        d_frames = d_h.reshape(*h_final.shape[:2], width)
+        d_frames = d_frames.transpose(1, 0, 2) if time_major else d_frames
+        np.matmul(np.swapaxes(alpha3, -1, -2), g, out=d_frames)
         d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
         d_scores = d_scores.reshape(b, t, 1)
-        d_frames = d_frames + np.matmul(d_scores, np.swapaxes(w_col, -1, -2))
+        slab = np.empty((t, width))
+        for frames_i, scores_i in zip(d_frames, d_scores):
+            frames_i += np.matmul(scores_i, np.swapaxes(w_col, -1, -2), out=slab)
         d_w = np.matmul(np.swapaxes(frames, -1, -2), d_scores).sum(axis=0).reshape(width)
-        d_h = d_frames.reshape(b, t, *h_final.shape[2:])
-        d_h = d_h.transpose(1, 0, 2, 3) if time_major else d_h
         return d_h, d_w, d_scores.sum(axis=(0, 1))
 
     out.requires_grad = True

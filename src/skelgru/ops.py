@@ -60,6 +60,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), out, back)
 
 
+def sum_of_products(pairs) -> np.ndarray:
+    """Sum a @ b over the (a, b) pairs, one product at a time and in order:
+    the bits of a batched matmul's ``.sum(axis=0)`` without its stack of
+    products."""
+    pairs = iter(pairs)
+    total = np.matmul(*next(pairs))
+    prod = np.empty_like(total)
+    for a, b in pairs:
+        total += np.matmul(a, b, out=prod)
+    return total
+
+
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
@@ -140,21 +152,37 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # pointwise
 
-# (forward of x, derivative from the output y): every derivative reads y alone,
-# so a backward saves the output, never the input. For the ReLU, leaky ReLU
-# and ELU, y > 0 exactly where x > 0.
+def _unary(body):
+    """``body(x, out)`` writes into ``out``, which may be x itself; the form
+    returned takes ``out=None`` to mean a new float64 array."""
+    return lambda x, out=None: body(x, np.empty(np.shape(x)) if out is None else out)
+
+
+@_unary
+def _elu(x, y):
+    # branchless: expm1(x) >= x for x <= 0, so max gives where(x > 0, ...)
+    neg = np.minimum(x, 0.0, out=np.empty_like(y))
+    return np.maximum(x, np.expm1(neg, out=neg), out=y)
+
+
+# (forward of x, derivative from the output y), each with an ``out=`` form.
+# Every derivative reads y alone, so a backward saves the output, never the
+# input. For the ReLU, leaky ReLU and ELU, y > 0 exactly where x > 0.
 UNARY = {
-    "identity": (lambda x: x, np.ones_like),
-    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda y: y * (1.0 - y)),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(np.float64)),
-    # branchless: expm1(x) >= x and 0.2 * x >= x for x <= 0, so max gives where(x > 0, ...)
-    "elu": (
-        lambda x: np.maximum(x, np.expm1(np.minimum(x, 0.0))),
-        lambda y: np.minimum(y, 0.0) + 1.0,  # expm1(x) + 1: exp(x) up to rounding
-    ),
-    # slope 0.2, as in the GAT paper (Velickovic et al. 2018)
-    "leaky_relu": (lambda x: np.maximum(x, 0.2 * x), lambda y: (y > 0) * 0.8 + 0.2),
+    "identity": (_unary(lambda x, y: np.positive(x, out=y)),
+                 _unary(lambda y, d: np.copyto(d, 1.0) or d)),
+    "sigmoid": (_unary(lambda x, y: np.divide(1.0, np.add(np.exp(np.negative(x, out=y), out=y), 1.0, out=y),
+                                              out=y)),
+                _unary(lambda y, d: np.multiply(y, np.subtract(1.0, y), out=d))),
+    "tanh": (_unary(lambda x, y: np.tanh(x, out=y)),
+             _unary(lambda y, d: np.subtract(1.0, np.multiply(y, y, out=d), out=d))),
+    "relu": (_unary(lambda x, y: np.maximum(x, 0.0, out=y)),
+             _unary(lambda y, d: np.greater(y, 0.0, out=d))),
+    # the ELU's derivative expm1(x) + 1 is exp(x) up to rounding
+    "elu": (_elu, _unary(lambda y, d: np.add(np.minimum(y, 0.0, out=d), 1.0, out=d))),
+    # slope 0.2, as in the GAT paper (Velickovic et al. 2018); 0.2 * x >= x for x <= 0
+    "leaky_relu": (_unary(lambda x, y: np.maximum(x, np.multiply(x, 0.2), out=y)),
+                   _unary(lambda y, d: np.add(np.multiply(np.greater(y, 0.0, out=d), 0.8, out=d), 0.2, out=d))),
 }
 
 _BINARY = {

@@ -100,7 +100,10 @@ class Record:
     closure. :func:`backward` calls it at most once and adopts the arrays
     it returns without a copy, so they may be views of the incoming
     gradient or of each other. It must therefore never write into its
-    incoming gradient, nor into an array it has returned.
+    incoming gradient, nor into an array it has returned, nor into its
+    inputs or its output, which others hold. Since it runs at most once,
+    it may overwrite the arrays that only its own closure holds, such as
+    spent activations, and use them as its workspace.
     """
 
     __slots__ = ("op", "inputs", "output", "backward_fn")

@@ -6,6 +6,7 @@ purpose; these are oracles, not implementations.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -294,3 +295,24 @@ def residual_norm_saving_xhat_ref(block, x, gain, bias, eps):
         return dx.reshape(xhat.shape), dx.reshape(xhat.shape), np.einsum("ij,ij->j", g, rows), g.sum(axis=0)
 
     return ops._emit("residual_norm", (block, x, gain, bias), y, back)
+
+
+def traced_streams(call, stream_bytes):
+    """Run ``call()`` under tracemalloc and return its result, the bytes it
+    left allocated and the peak it added over the bytes allocated before it,
+    both in units of ``stream_bytes``. Inside an enclosing ``traced_streams``
+    call it measures against that trace, so freeing what the enclosing call
+    allocated earlier lowers what this call adds; the enclosing call's peak
+    then starts again from this call's."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    return result, (now - before) / stream_bytes, (peak - before) / stream_bytes

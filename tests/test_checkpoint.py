@@ -2,11 +2,11 @@ import dataclasses
 import errno
 import hashlib
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from skelgru import checkpoint
 from skelgru.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from skelgru.graph import chain_topology
@@ -84,12 +84,8 @@ class TestRoundTrip:
         config = ModelConfig(stages=1, gnn_kind="gcn", hidden=64, n_nodes=17, classes=226)
         params = init_model_params(config, seed=0)
         size = sum(t.data.nbytes for _, t in named_parameters(params))
-        tracemalloc.start()
-        try:
-            save_checkpoint(params, config, tmp_path / "wide.ckpt")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = oracles.traced_streams(
+            lambda: save_checkpoint(params, config, tmp_path / "wide.ckpt"), 1)
         assert peak < size, f"a save of {size} parameter bytes allocated {peak}"
         loaded, _, _ = load_checkpoint(tmp_path / "wide.ckpt")
         assert all(np.array_equal(t.data, dict(named_parameters(params))[k].data)

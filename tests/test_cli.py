@@ -362,6 +362,29 @@ class TestPredict:
             captured = capsys.readouterr()
             assert message in captured.err and not captured.out
 
+    def test_integer_coordinate_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        args = synth_and_train(tmp_path)
+        rec = json.loads((tmp_path / "data/val.jsonl").read_text().splitlines()[0])
+        rec["frames"][0][1][0] = 10**400  # a JSON integer, which no float holds
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n" + json.dumps(rec) + "\n")
+        capsys.readouterr()
+        assert run("predict", str(bad), *args) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"{bad}:2: int too large to convert to float" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    def test_label_beyond_int64_is_data_error(self, tmp_path, capsys):
+        args = synth_and_train(tmp_path)
+        rec = json.loads((tmp_path / "data/val.jsonl").read_text().splitlines()[0])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(rec) + "\n" + json.dumps(dict(rec, id="far", label=10**30)) + "\n")
+        capsys.readouterr()
+        assert run("predict", str(bad), *args) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"{bad}:2: sample 'far': label {10**30} does not fit in int64" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
 
 def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(tmp_path, capsys):
     args = synth_and_train(tmp_path)

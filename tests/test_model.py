@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +185,13 @@ def test_taped_desk_embedding_holds_only_its_output_and_input():
     params = init_model_params(config, seed=0)
     batch = random_batch(config, b=32)
     untaped = embed_input(params, batch)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:
-            taped = embed_input(params, batch)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    tape = Tape()
+
+    def forward():
+        with tape:
+            return embed_input(params, batch)
+
+    taped, held, _ = oracles.traced_streams(forward, 1)
     assert [rec.op for rec in tape.records] == ["linear"]
     assert held <= 1.05 * (taped.data.nbytes + batch.features.data.nbytes)
     assert np.array_equal(taped.data, untaped.data)
@@ -406,17 +404,41 @@ def test_taped_time_major_pool_makes_no_copy_of_the_stream(rng):
     mask = full_mask(b, t)
     mask[0, -4:] = False
     untaped = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:
-            taped = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    tape = Tape()
+
+    def forward():
+        with tape:
+            return temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+
+    taped, held, _ = oracles.traced_streams(forward, 1)
     assert [rec.op for rec in tape.records] == ["attention_pool"]
     assert held <= 1.05 * (taped.data.nbytes + b * t * 8)
     assert np.array_equal(taped.data, untaped.data)
+
+
+def test_time_major_pool_gradient_feeds_the_last_norm_without_a_copy(rng):
+    """On a desk-shaped stream ([T=32, B=32, chain:9, H=32]) pooling's
+    backward returns the frames' gradient C-contiguous in the stream's
+    time-major layout, so the last stage's norm backward reads it in place
+    and adds two streams (x-hat and its returned gradient) and its
+    [rows, 1] columns; on a transposed gradient it adds a third, a
+    row-major copy."""
+    shape = (32, 32, 9, 32)
+    h_final = rand(rng, shape, grad=True)
+    w, bias = rand(rng, (9 * 32,), grad=True), rand(rng, (1,), grad=True)
+    mask = full_mask(32, 32)
+    mask[0, -4:] = False
+    with Tape() as tape:
+        pooled = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+    (pool,) = tape.records
+    d_h = pool.backward_fn(rng.normal(0.0, 1.0, pooled.shape))[0]
+    assert d_h.shape == shape and d_h.flags["C_CONTIGUOUS"]
+    block, x, gain, norm_bias = (rand(rng, s, grad=True) for s in (shape, shape, (32,), (32,)))
+    with Tape() as tape:
+        ops.residual_norm(block, x, gain, norm_bias, 1e-5)
+    (norm,) = tape.records
+    _, _, added = oracles.traced_streams(lambda: norm.backward_fn(d_h), x.data.nbytes)
+    assert added <= 2 + 2 / 32 + 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +755,14 @@ def test_desk_step_backward_adds_little_memory():
     config = _desk_config()
     params = init_model_params(config, seed=0)
     batch = random_batch(config, b=8, seed=1)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tape, loss = _desk_training_tape(config, params, batch)
-        forward = tracemalloc.get_traced_memory()[0] - start
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        backward(tape, loss)
-        added = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+
+    def step():
+        (tape, loss), forward, _ = oracles.traced_streams(
+            lambda: _desk_training_tape(config, params, batch), 1)
+        _, _, added = oracles.traced_streams(lambda: backward(tape, loss), 1)
+        return tape, loss, forward, added
+
+    (tape, loss, forward, added), _, _ = oracles.traced_streams(step, 1)
     assert added < 0.25 * forward, f"backward added {added} bytes over a {forward}-byte forward"
     assert len(tape) == 0
     with pytest.raises(TapeError):

@@ -1,7 +1,5 @@
 """Forward values and gradients of the recorded operations."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,14 +215,13 @@ def test_taped_desk_residual_norm_holds_its_output_and_two_columns(rng):
     shape = (32, 32, 9, 32)
     block, x, gain, bias = rand(rng, shape), rand(rng, shape), rand(rng, (32,)), rand(rng, (32,))
     untaped = ops.residual_norm(block, x, gain, bias, 1e-5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:
-            taped = ops.residual_norm(block, x, gain, bias, 1e-5)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    tape = Tape()
+
+    def forward():
+        with tape:
+            return ops.residual_norm(block, x, gain, bias, 1e-5)
+
+    taped, held, _ = oracles.traced_streams(forward, 1)
     assert [rec.op for rec in tape.records] == ["residual_norm"]
     columns = 2 * 8 * (taped.size // 32)
     assert held <= 1.05 * (taped.data.nbytes + columns)

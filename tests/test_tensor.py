@@ -190,7 +190,9 @@ def test_backward_bitwise_matches_zero_fill_on_fan_out():
 def test_fused_backward_never_writes_its_incoming_gradient(op):
     """The Record contract for the fused kernels that work in place: handed
     a read-only gradient, each backward must return the same bits as from
-    a writable copy, on two records made from the same inputs."""
+    a writable copy, on two records made from the same inputs; and it may
+    overwrite only buffers its own closure holds, never its inputs' values
+    or its output's."""
     rng = np.random.default_rng(11)
     t_len, n, h, heads = 5, 4, 4, 2
 
@@ -228,7 +230,9 @@ def test_fused_backward_never_writes_its_incoming_gradient(op):
             build()
         (rec,) = tape.records
         assert rec.op == op
+        seen = [t.data.copy() for t in (*rec.inputs, rec.output)]
         results.append(rec.backward_fn(incoming))
+        assert all(np.array_equal(v, t.data) for v, t in zip(seen, (*rec.inputs, rec.output)))
     for want, got in zip(*results):
         assert (want is None) == (got is None)
         assert want is None or np.array_equal(want, got)
