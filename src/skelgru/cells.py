@@ -5,7 +5,9 @@ Each gate weight is one matrix [h, h+d] applied to the concatenation
 state vector [h] with input [d], or a stack of independent rows [R, h]
 with [R, d]; the stacked form is what the model uses to run every
 (sample, node) pair in one call. ``CellParams``, the three parameter
-sets' shared base, checks every gate's shapes.
+sets' shared base, checks every gate's shapes. The steps record op by op
+and serve as references; only the GRU runs along a sequence, through
+``unroll``.
 
 The update convention for the GRU is h = (1-z) * h_prev + z * h_new,
 with z gating the candidate (some libraries swap the two terms).
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor, active_tape
+from .tensor import ShapeError, Tensor, tape_for
 
 
 class CellParams:
@@ -110,10 +112,9 @@ class GRUCellParams(CellParams):
 
 @dataclass
 class HiddenState:
-    """Recurrent state: h always, c only for LSTM cells."""
+    """The initial state ``unroll`` starts a GRU sequence from."""
 
     h: Tensor
-    c: Tensor | None = None
 
 
 def _as_rows(t: Tensor) -> tuple[Tensor, bool]:
@@ -232,18 +233,17 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     bias = np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data])[:, None].repeat(rows, axis=1)
 
     ins = (inputs, h0, p.w_z, p.b_z, p.w_r, p.b_r, p.w_h, p.b_h)
-    tape = active_tape()
-    taped = tape is not None and any(t.requires_grad for t in ins)
+    tape = tape_for(ins)
     # Taped, each step's projection is overwritten by its activations
     # [z; r; h~], so this buffer and the output are all the record saves;
     # untaped, every step reuses one slot.
-    gates = np.empty((t_len if taped else 1, 3 * h, rows))
+    gates = np.empty((t_len if tape is not None else 1, 3 * h, rows))
     states = np.empty((t_len, rows, h))
     h_cur = h_init.copy()
     mm = np.empty((2 * h, rows))  # recurrent products, then z * h~
     tmp = np.empty((h, rows))
     for t in range(t_len):
-        g = np.matmul(w_x, x_fm[t], out=gates[t if taped else 0])
+        g = np.matmul(w_x, x_fm[t], out=gates[t if tape is not None else 0])
         g += bias
         zr = g[:2 * h]
         zr += np.matmul(w_zr, h_cur, out=mm)
@@ -256,7 +256,7 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
         states[t] = h_cur.T
 
     out = Tensor(states.reshape(inputs.shape[:-1] + (h,)))
-    if not taped:
+    if tape is None:
         return out
 
     def back(grad):
@@ -295,47 +295,16 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
         d_h0 = np.ascontiguousarray(dh.T).reshape(h0.shape)
         return (d_x, d_h0, d_w[0], d_b[:h], d_w[1], d_b[h:2 * h], d_w[2], d_b[2 * h:])
 
-    out.requires_grad = True
     tape.record("gru_sequence", ins, out, back)
     return out
 
 
-def zero_state(kind: str, hidden_size: int, rows: int | None = None) -> HiddenState:
-    """All-zero initial state; shaped [h] or [rows, h]."""
-    shape = (hidden_size,) if rows is None else (rows, hidden_size)
-    h = Tensor(np.zeros(shape))
-    if kind == "lstm":
-        return HiddenState(h, Tensor(np.zeros(shape)))
-    return HiddenState(h)
-
-
-def unroll(kind: str, params, inputs: Tensor, h0: HiddenState | None = None) -> Tensor:
-    """Run a cell along axis 0 of ``inputs`` ([T, d] or [T, R, d]) and stack
-    the hidden states ([T, h] or [T, R, h]). One tape spanning the call makes
-    backward() differentiate through every step; the GRU runs as the single
-    fused record of :func:`gru_sequence`.
-    """
-    if inputs.ndim not in (2, 3):
-        raise ShapeError(f"unroll expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
-    t_len = inputs.shape[0]
-    if t_len < 1:
-        raise ShapeError("unroll needs at least one time step")
-    if kind not in ("rnn", "lstm", "gru"):
-        raise ValueError(f"unknown cell kind {kind!r}; known: ['gru', 'lstm', 'rnn']")
-    rows = inputs.shape[1] if inputs.ndim == 3 else None
+def unroll(kind: str, params: GRUCellParams, inputs: Tensor, h0: HiddenState | None = None) -> Tensor:
+    """Run the GRU, the only ``kind`` run along a sequence, over axis 0 of
+    ``inputs`` ([T, d] or [T, R, d]) from ``h0``, zeros by default, as the
+    one record of :func:`gru_sequence`, which checks the shapes."""
+    if kind != "gru":
+        raise ValueError(f"unknown cell kind {kind!r}; known: ['gru']")
     if h0 is None:
-        h0 = zero_state(kind, params.hidden_size, rows)
-    if (h0.c is not None) != (kind == "lstm"):
-        raise ShapeError("cell state c must be present exactly when kind is 'lstm'")
-    if kind == "gru":
-        return gru_sequence(params, inputs, h0.h)
-    h, c = h0.h, h0.c
-    states = []
-    for t in range(t_len):
-        x_t = ops.index_axis(inputs, 0, t)
-        if kind == "rnn":
-            h, _ = rnn_cell_step(params, h, x_t)
-        else:
-            h, c = lstm_cell_step(params, h, c, x_t)
-        states.append(h)
-    return ops.stack(states, axis=0)
+        h0 = HiddenState(Tensor(np.zeros(inputs.shape[1:-1] + (params.hidden_size,))))
+    return gru_sequence(params, inputs, h0.h)

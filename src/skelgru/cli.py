@@ -13,6 +13,7 @@ from . import ops
 from .cells import GRUCellParams, gru_sequence
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (
+    _MODEL_FIELDS,
     ConfigError,
     adamw_state_from,
     load_run_config,
@@ -135,6 +136,8 @@ def _load_for_inference(cfg: dict, checkpoint_arg: str | None):
     params, model_config, _ = load_checkpoint(
         ckpt, expected_topology_hash=topo.canonical_hash()
     )
+    # the echoed config states the model that runs, not a conflicting --set
+    cfg.update({key: getattr(model_config, name) for key, name in _MODEL_FIELDS.items()})
     return topo, params, model_config
 
 

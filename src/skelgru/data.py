@@ -139,6 +139,10 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
                     seq = KeypointSequence(str(rec["id"]), label, rec["frames"])
                 except (DataFormatError, TypeError, ValueError, OverflowError) as exc:
                     raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+                # numpy reads a JSON true/false as 1.0/0.0; only a line that spells one needs the walk
+                if ("true" in line or "false" in line) and any(
+                        isinstance(v, bool) for frame in rec["frames"] for joint in frame for v in joint):
+                    raise DataFormatError(f"{path}:{lineno}: sample {seq.id!r}: boolean coordinate")
                 if seq.n_nodes != topo.n_nodes:
                     raise DataFormatError(
                         f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "

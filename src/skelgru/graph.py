@@ -27,11 +27,16 @@ from functools import cached_property
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor, active_tape
+from .tensor import ShapeError, Tensor, tape_for
 
 
 class TopologyError(ValueError):
-    """The node/edge description violates the skeleton-graph invariants."""
+    """The node/edge description violates the skeleton-graph invariants;
+    ``edge`` is the position of the offending edge, when one is."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -51,14 +56,14 @@ class SkeletonTopology:
             raise TopologyError(f"n_nodes must be positive, got {self.n_nodes}")
         canon = []
         seen = set()
-        for i, j in self.edges:
+        for k, (i, j) in enumerate(self.edges):
             if i == j:
-                raise TopologyError(f"self-loop on node {i}")
+                raise TopologyError(f"self-loop on node {i}", k)
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise TopologyError(f"edge ({i},{j}) outside [0, {self.n_nodes})")
+                raise TopologyError(f"edge ({i},{j}) outside [0, {self.n_nodes})", k)
             pair = (min(i, j), max(i, j))
             if pair in seen:
-                raise TopologyError(f"duplicate edge {pair}")
+                raise TopologyError(f"duplicate edge {pair}", k)
             seen.add(pair)
             canon.append(pair)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
@@ -122,9 +127,9 @@ def default_17_topology() -> SkeletonTopology:
 
 
 def read_topology_file(path) -> SkeletonTopology:
+    """Parse a topology file; a fault on one line names it as ``<path>:<line>``."""
     n_nodes = None
-    edges = []
-    names = {}
+    edges, edge_lines, names = [], [], []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -139,8 +144,9 @@ def read_topology_file(path) -> SkeletonTopology:
                         n_nodes = int(parts[1])
                     elif parts[0] == "edge" and len(parts) == 3:
                         edges.append((int(parts[1]), int(parts[2])))
+                        edge_lines.append(lineno)
                     elif parts[0] == "name" and len(parts) == 3:
-                        names[int(parts[1])] = (parts[2], lineno)
+                        names.append((int(parts[1]), parts[2], lineno))
                     else:
                         raise ValueError
                 except ValueError:
@@ -149,13 +155,19 @@ def read_topology_file(path) -> SkeletonTopology:
         raise TopologyError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if n_nodes is None:
         raise TopologyError(f"{path}: missing n_nodes line")
-    for i, (_, lineno) in names.items():
+    named = {}
+    for i, name, lineno in names:
         if not 0 <= i < n_nodes:
             raise TopologyError(f"{path}:{lineno}: name index {i} outside [0, {n_nodes})")
-    name_tuple = None
-    if names:
-        name_tuple = tuple(names[i][0] if i in names else f"node{i}" for i in range(n_nodes))
-    return SkeletonTopology(n_nodes, tuple(edges), name_tuple)
+        if i in named:
+            raise TopologyError(f"{path}:{lineno}: second name for node {i}")
+        named[i] = name
+    name_tuple = tuple(named.get(i, f"node{i}") for i in range(n_nodes)) if named else None
+    try:
+        return SkeletonTopology(n_nodes, tuple(edges), name_tuple)
+    except TopologyError as exc:
+        line = "" if exc.edge is None else f":{edge_lines[exc.edge]}"
+        raise TopologyError(f"{path}{line}: {exc}") from None
 
 
 def resolve_topology(spec: str) -> SkeletonTopology:
@@ -195,8 +207,8 @@ def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
     fn, dfn = ops.UNARY[act]
     pre = np.matmul(np.matmul(adj.data, h.data), w.data)
     out = Tensor(fn(pre, out=pre))
-    tape = active_tape()
-    if tape is None or not (h.requires_grad or w.requires_grad):
+    tape = tape_for((h, w))
+    if tape is None:
         return out
     ad, hd, wd = adj.data, h.data, w.data
     (n, d_in), d_out = hd.shape[-2:], wd.shape[1]
@@ -210,7 +222,6 @@ def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
         d = np.matmul(d, wd.T)
         return np.matmul(ad.T, d), d_w
 
-    out.requires_grad = True
     tape.record("gcn_layer", (h, w), out, back)
     return out
 
@@ -304,15 +315,14 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
     for v, j, u in pairs:
         z[v] += np.multiply(alpha[v, j, :, None], p4[u], out=slab)
     ins = (h, *params.w, *params.a)
-    tape = active_tape()
-    taped = tape is not None and any(t.requires_grad for t in ins)
+    tape = tape_for(ins)
     del p, p4  # backward rebuilds P
-    if not taped:
+    if tape is None:
         del alpha, pos
     x = np.ascontiguousarray(z.reshape(n, kd, m).transpose(2, 0, 1))  # [M, N, K*d]
     del z
     out = Tensor(fn(x, out=x).reshape(h.shape[:-1] + (kd,)))
-    if not taped:
+    if tape is None:
         return out
 
     def back(grad):
@@ -341,6 +351,5 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
         d_h = np.matmul(w_cat, d_p).transpose(2, 0, 1).reshape(h.shape)
         return (d_h, *(d_w[:, i] for i in range(k)), *(d_a[:, i].ravel() for i in range(k)))
 
-    out.requires_grad = True
     tape.record("gat_layer", ins, out, back)
     return out

@@ -24,7 +24,7 @@ from . import ops
 from .cells import GRUCellParams, unroll
 from .graph import GATLayerParams, SkeletonTopology, gat_forward, gcn_forward
 from .seeding import derive_rng
-from .tensor import MaskError, ShapeError, Tensor, active_tape
+from .tensor import MaskError, ShapeError, Tensor, tape_for
 
 GNN_KINDS = ("gcn", "gat")
 
@@ -291,8 +291,8 @@ def temporal_attention_pool(
     alpha3 = alpha.reshape(b, 1, t)
     out = Tensor(np.matmul(alpha3, frames).reshape(b, width))
     ins = (h_final, attn_w, attn_b)
-    tape = active_tape()
-    if tape is None or not any(x.requires_grad for x in ins):
+    tape = tape_for(ins)
+    if tape is None:
         return out
     w_col = attn_w.data.reshape(width, 1)
 
@@ -312,7 +312,6 @@ def temporal_attention_pool(
         d_w = np.matmul(np.swapaxes(frames, -1, -2), d_scores).sum(axis=0).reshape(width)
         return d_h, d_w, d_scores.sum(axis=(0, 1))
 
-    out.requires_grad = True
     tape.record("attention_pool", ins, out, back)
     return out
 

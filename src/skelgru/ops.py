@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import MaskError, ShapeError, Tensor, active_tape
+from .tensor import MaskError, ShapeError, Tensor, tape_for
 
 
 def _emit(op: str, inputs, out_values: np.ndarray, backward_fn) -> Tensor:
     out = Tensor(out_values)
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    if (tape := tape_for(inputs)) is not None:
         tape.record(op, inputs, out, backward_fn)
     return out
 
@@ -106,31 +104,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
 
     return _emit("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis), back)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-
-    def back(g):
-        return tuple(np.ascontiguousarray(s) for s in np.moveaxis(g, axis, 0))
-
-    return _emit("stack", tensors, np.stack([t.data for t in tensors], axis=axis), back)
-
-
-def index_axis(x: Tensor, axis: int, i: int) -> Tensor:
-    """Select index ``i`` along ``axis``, dropping that axis."""
-    if not 0 <= i < x.shape[axis]:
-        raise ShapeError(f"index {i} out of range for axis {axis} of {list(x.shape)}")
-    shape = x.data.shape
-
-    def back(g):
-        full = np.zeros(shape)
-        np.copyto(np.moveaxis(full, axis, 0)[i], g)
-        return (full,)
-
-    return _emit("index_axis", (x,), np.ascontiguousarray(np.take(x.data, i, axis=axis)), back)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -230,15 +203,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return elementwise("mul", a, b)
-
-
-def scale(x: Tensor, alpha: float) -> Tensor:
-    alpha = float(alpha)
-
-    def back(g):
-        return (g * alpha,)
-
-    return _emit("scale", (x,), x.data * alpha, back)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

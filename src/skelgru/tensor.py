@@ -2,12 +2,13 @@
 
 Every operation in :mod:`skelgru.ops` computes its result eagerly with
 numpy and, when a tape is active and an input is tracked, appends one
-record holding the local gradient rule. Replaying the tape in reverse
-is reverse-mode differentiation, so recurrences unrolled op by op (the
-RNN and LSTM cells) get backpropagation through time from the tape. Six
-layers instead record one op each with a hand-written backward: a whole
-GRU sequence (:func:`skelgru.cells.gru_sequence`), a whole multi-head
-GAT layer (:func:`skelgru.graph.gat_forward`), a GCN layer
+record holding the local gradient rule: :func:`tape_for` finds that
+tape and :meth:`Tape.record` marks the output tracked. Replaying the
+tape in reverse is reverse-mode differentiation. The RNN and LSTM cell
+steps record op by op, and nothing runs them along a sequence. Six
+layers record one op each with a hand-written backward: a whole GRU
+sequence (:func:`skelgru.cells.gru_sequence`), a whole multi-head GAT
+layer (:func:`skelgru.graph.gat_forward`), a GCN layer
 (:func:`skelgru.graph.gcn_forward`), a residual add with its layer
 norm (:func:`skelgru.ops.residual_norm`), a matmul with its bias
 (:func:`skelgru.ops.linear`) and temporal attention pooling
@@ -133,6 +134,14 @@ def active_tape():
     return stack[-1] if stack else None
 
 
+def tape_for(inputs) -> Tape | None:
+    """The tape an op over ``inputs`` records on: the active one, or None
+    when there is none or no input is tracked. A tape with no records is
+    falsy, so test the result with ``is not None``."""
+    tape = active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 class Tape:
     """Ordered log of recorded operations, single-owner.
 
@@ -152,7 +161,9 @@ class Tape:
         self._output_ids: set[int] = set()
 
     def record(self, op: str, inputs, output: Tensor, backward_fn):
+        """Append ``output = op(inputs)`` and mark the output tracked."""
         assert output.tid not in self._output_ids, "tensor produced twice on one tape"
+        output.requires_grad = True
         self._output_ids.add(output.tid)
         self.records.append(Record(op, tuple(inputs), output, backward_fn))
 

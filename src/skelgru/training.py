@@ -94,33 +94,27 @@ def init_adamw(
     return state
 
 
-def adamw_step(
-    state: AdamWState,
-    named: list[tuple[str, Tensor]],
-    grads: dict[str, np.ndarray] | None = None,
-) -> None:
+def adamw_step(state: AdamWState, named: list[tuple[str, Tensor]]) -> None:
     """One update over every named parameter, written in place.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p); the
     decay term never passes through the adaptive scaling. Gradients come
-    from each tensor's .grad unless an explicit dict is supplied. A
-    missing, misshapen or unregistered gradient raises OptimizerError,
-    naming the first such parameter in sorted-name order. Every new moment
-    and value is then computed apart and checked before any is written: a
-    non-finite gradient, a gradient whose square overflows the second
-    moment, or an update that overflows a parameter raises NumericsError
-    naming the first such parameter. Either error leaves the parameters,
-    the moments, the step count and every .grad untouched.
+    from each tensor's .grad. A missing, misshapen or unregistered gradient
+    raises OptimizerError, naming the first such parameter in sorted-name
+    order. Every new moment and value is then computed apart and checked
+    before any is written: a non-finite gradient, a gradient whose square
+    overflows the second moment, or an update that overflows a parameter
+    raises NumericsError naming the first such parameter. Either error
+    leaves the parameters, the moments, the step count and every .grad
+    untouched.
 
     A step that succeeds copies the new values into the arrays that
     ``tensor.data``, ``state.m`` and ``state.v`` already hold, and sets
-    ``.grad`` to None on every tensor whose gradient it read from there,
-    so no applied gradient outlives the step; an explicit dict and the
-    .grad of its tensors are left as they are.
+    every ``.grad`` to None, so no applied gradient outlives the step.
     """
     checked = []
     for name, tensor in sorted(named):
-        g = grads.get(name) if grads is not None else tensor.grad
+        g = tensor.grad
         if g is None:
             raise OptimizerError(f"parameter {name!r} has no gradient")
         if g.shape != tensor.shape:
@@ -165,8 +159,7 @@ def adamw_step(
         state.m[name][...] = m
         state.v[name][...] = v
         tensor.data[...] = new
-        if grads is None:
-            tensor.grad = None
+        tensor.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from skelgru.cells import (
     lstm_cell_step,
     rnn_cell_step,
     unroll,
-    zero_state,
 )
 from skelgru.gradcheck import finite_diff_check
 from skelgru.tensor import ShapeError, Tape, Tensor, backward, first_invalid_record
@@ -309,12 +308,14 @@ def test_unroll_zero_gru_halves_every_step(rng):
 
 
 def test_unroll_all_kinds_and_shapes(rng):
+    """Only the GRU runs along a sequence; the RNN and LSTM steps do not."""
     t_len, rows, d, h_size = 4, 3, 2, 5
-    inputs = rand(rng, (t_len, rows, d))
-    for kind, params in (("rnn", rand_rnn(rng, h_size, d)), ("lstm", rand_lstm(rng, h_size, d)),
-                         ("gru", rand_gru(rng, h_size, d))):
-        states = unroll(kind, params, inputs)
-        assert states.shape == (t_len, rows, h_size)
+    p = rand_gru(rng, h_size, d)
+    assert unroll("gru", p, rand(rng, (t_len, rows, d))).shape == (t_len, rows, h_size)
+    assert unroll("gru", p, rand(rng, (t_len, d))).shape == (t_len, h_size)
+    for kind, params in (("rnn", rand_rnn(rng, h_size, d)), ("lstm", rand_lstm(rng, h_size, d))):
+        with pytest.raises(ValueError, match="unknown cell kind"):
+            unroll(kind, params, rand(rng, (t_len, rows, d)))
 
 
 def test_unroll_matches_manual_loop(rng):
@@ -336,18 +337,43 @@ def test_unroll_validates(rng):
     with pytest.raises(ValueError, match="unknown cell kind"):
         unroll("bilstm", p, rand(rng, (4, 2)))
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand(rng, (4, 2)), HiddenState(Tensor(np.zeros(3)), Tensor(np.zeros(3))))
+        unroll("gru", p, rand(rng, (4, 2)), HiddenState(Tensor(np.zeros(4))))
 
 
-def test_zero_state_shapes():
-    s = zero_state("lstm", 4, rows=2)
-    assert s.h.shape == (2, 4) and s.c.shape == (2, 4)
-    s = zero_state("gru", 4)
-    assert s.h.shape == (4,) and s.c is None
+def test_zero_state_shapes(rng):
+    """Without h0, unroll starts from zeros shaped [h] or [R, h]."""
+    p = rand_gru(rng, 4, 2)
+    for shape in ((3, 2), (3, 5, 2)):
+        xs = rand(rng, shape)
+        h0 = Tensor(np.zeros(shape[1:-1] + (4,)))
+        assert np.array_equal(unroll("gru", p, xs).data, gru_sequence(p, xs, h0).data)
 
 
 # ---------------------------------------------------------------------------
 # BPTT gradients
+
+def _steps(xs):
+    """Each step's input of ``xs`` [T, ..., d], cut out along axis 0 by slice_axis."""
+    return [ops.reshape(ops.slice_axis(xs, 0, t, t + 1), xs.shape[1:]) for t in range(xs.shape[0])]
+
+
+def _stacked(states):
+    """The states [T, ...] of one recurrence, joined by concat."""
+    return ops.concat([ops.reshape(s, (1,) + s.shape) for s in states], axis=0)
+
+
+def _per_op_sequence(kind, p, xs):
+    """An RNN or LSTM cell run op by op along axis 0 of ``xs``, from zeros."""
+    h = c = Tensor(np.zeros(xs.shape[1:-1] + (p.hidden_size,)))
+    states = []
+    for x_t in _steps(xs):
+        if kind == "rnn":
+            h, _ = rnn_cell_step(p, h, x_t)
+        else:
+            h, c = lstm_cell_step(p, h, c, x_t)
+        states.append(h)
+    return _stacked(states)
+
 
 def test_bptt_gradient_wrt_first_input_20_steps(rng):
     p = rand_gru(rng, 3, 2)
@@ -355,7 +381,7 @@ def test_bptt_gradient_wrt_first_input_20_steps(rng):
 
     def f():
         states = unroll("gru", p, xs)
-        return ops.sum_all(ops.index_axis(states, 0, 19))
+        return ops.sum_all(ops.slice_axis(states, 0, 19, 20))
 
     assert finite_diff_check(f, xs) <= 1e-4
 
@@ -368,7 +394,8 @@ def test_bptt_gradient_wrt_params_all_kinds(rng):
         ("gru", rand_gru(rng, 3, 2, grad=True), "w_h"),
     ):
         def f(kind=kind, params=params):
-            return ops.sum_all(unroll(kind, params, xs))
+            states = unroll(kind, params, xs) if kind == "gru" else _per_op_sequence(kind, params, xs)
+            return ops.sum_all(states)
 
         assert finite_diff_check(f, getattr(params, leaf)) <= 1e-4, kind
 
@@ -378,7 +405,7 @@ def test_bptt_credit_flows_to_early_inputs(rng):
     xs = rand(rng, (10, 2), grad=True)
     with Tape() as tape:
         states = unroll("gru", p, xs)
-        loss = ops.sum_all(ops.index_axis(states, 0, 9))
+        loss = ops.sum_all(ops.slice_axis(states, 0, 9, 10))
     backward(tape, loss)
     assert np.abs(xs.grad[0]).max() > 0.0
 
@@ -391,10 +418,10 @@ GRU_LEAVES = ("w_z", "b_z", "w_r", "b_r", "w_h", "b_h")
 
 def _gru_loop(p, xs, h0):
     h, states = h0, []
-    for t in range(xs.shape[0]):
-        h = gru_cell_step(p, h, ops.index_axis(xs, 0, t))
+    for x_t in _steps(xs):
+        h = gru_cell_step(p, h, x_t)
         states.append(h)
-    return ops.stack(states, axis=0)
+    return _stacked(states)
 
 
 def _states_and_grads(run, p, xs, h0, weights):

@@ -267,6 +267,16 @@ class TestEval:
         assert d[-1] == a[0]
         assert d[0] == a[-1]
 
+    def test_eval_and_predict_echo_the_checkpoint_model_not_a_conflicting_override(self, tmp_path):
+        args = synth_and_train(tmp_path)  # a 1-stage, 4-wide model
+        conflicting = [*args, "--set=model.hidden=8", "--set=model.stages=9"]
+        preds = tmp_path / "preds.jsonl"
+        assert run("eval", "--split", "val", *conflicting) == EXIT_OK
+        assert run("predict", str(tmp_path / "data/val.jsonl"), "--out", str(preds), *conflicting) == EXIT_OK
+        for echoed in (tmp_path / "run/eval_val.txt", preds):
+            text = echoed.read_text()
+            assert "# model.hidden = 4" in text and "# model.stages = 1" in text
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         args = tiny_overrides(tmp_path)
         assert run("synth", *args) == EXIT_OK
@@ -354,6 +364,9 @@ class TestPredict:
         cases = [(dict(rec, frames=far), f"sample {rec['id']!r}: bounding box does not normalize")]
         cases += [(dict(rec, label=label), f":1: label {label!r} is not an integer")
                   for label in (1.5, True, "1")]
+        flagged = json.loads(json.dumps(rec["frames"]))
+        flagged[0][1][0] = True  # numpy alone would read it as 1.0
+        cases.append((dict(rec, frames=flagged), f":1: sample {rec['id']!r}: boolean coordinate"))
         bad = tmp_path / "bad.jsonl"
         for case, message in cases:
             bad.write_text(json.dumps(case) + "\n")
@@ -407,6 +420,17 @@ def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(t
     capsys.readouterr()
     assert run("eval", "--split", "val", "--config", str(run_config), *args) == EXIT_CONFIG
     assert f"config error: {run_config}:2: not UTF-8 text: invalid start byte" in capsys.readouterr().err
+
+
+def test_topology_file_faults_are_data_errors_naming_their_line(tmp_path, capsys):
+    args = synth_and_train(tmp_path)
+    topo_file = tmp_path / "topo.txt"
+    for text, where in (("n_nodes 3\nname 0 a\nname 0 b\nedge 0 1\nedge 1 2\n", ":3: second name for node 0"),
+                        ("n_nodes 3\nedge 0 1\nedge 1 2\nedge 1 0\n", ":4: duplicate edge (0, 1)")):
+        topo_file.write_text(text)
+        capsys.readouterr()
+        assert run("eval", "--split", "val", *args, f"--set=data.topology={topo_file}") == EXIT_DATA
+        assert f"{topo_file}{where}" in capsys.readouterr().err
 
 
 class TestGradcheck:

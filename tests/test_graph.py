@@ -130,6 +130,19 @@ def test_topology_file_second_n_nodes_line_is_an_error(tmp_path):
         read_topology_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n_nodes 2\nname 0 a\nname 0 b\n", r"faulty\.txt:3: second name for node 0"),
+    ("n_nodes 3\nedge 0 1\nedge 1 0\n", r"faulty\.txt:3: duplicate edge \(0, 1\)"),
+    ("n_nodes 3\n# a loop\nedge 2 2\n", r"faulty\.txt:3: self-loop on node 2"),
+    ("edge 0 3\nn_nodes 3\n", r"faulty\.txt:1: edge \(0,3\) outside \[0, 3\)"),
+], ids=["repeated name", "duplicate edge", "self-loop", "edge outside the nodes"])
+def test_topology_file_faults_name_their_line(tmp_path, text, message):
+    path = tmp_path / "faulty.txt"
+    path.write_text(text)
+    with pytest.raises(TopologyError, match=message):
+        read_topology_file(path)
+
+
 def test_resolve_topology_specs(tmp_path):
     assert resolve_topology("upper17").n_nodes == 17
     assert resolve_topology("chain:5").edges == ((0, 1), (1, 2), (2, 3), (3, 4))

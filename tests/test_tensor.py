@@ -44,18 +44,45 @@ def test_tape_stack_nesting():
     assert active_tape() is None
 
 
-def test_untracked_inputs_record_nothing():
-    a, b = Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])
-    with Tape() as tape:
-        out = ops.matmul(a, b)
-    assert len(tape) == 0
-    assert not out.requires_grad
+# every entry point that records, keyed by its record's op; each call takes
+# a maker of inputs and an input x of shape [T=3, N=4, 4]
+HAND_OFF = {
+    "matmul": lambda p, x: ops.matmul(x, p(4, 2)),
+    "linear": lambda p, x: ops.linear(x, p(4, 2), p(2)),
+    "residual_norm": lambda p, x: ops.residual_norm(p(3, 4, 4), x, p(4), p(4), 1e-5),
+    "gru_sequence": lambda p, x: gru_sequence(GRUCellParams(*(p(*s) for s in [(4, 8), (4,)] * 3)), x, p(4, 4)),
+    "gcn_layer": lambda p, x: gcn_forward(build_normalized_adjacency(chain_topology(4)), x, p(4, 4)),
+    "gat_layer": lambda p, x: gat_forward(GATLayerParams(2, [p(4, 2), p(4, 2)], [p(4), p(4)]), x,
+                                          chain_topology(4)),
+    "attention_pool": lambda p, x: temporal_attention_pool(p(16), p(1), p(2, 3, 4, 4), np.ones((2, 3), bool)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(HAND_OFF))
+def test_untracked_inputs_record_nothing(op):
+    """Each entry point hands off to the tape alike: tracked inputs under a
+    tape make exactly one record and a tracked output; untracked inputs
+    under a tape, or tracked inputs with no tape, make neither."""
+    def call(tracked):
+        rng = np.random.default_rng(3)
+
+        def p(*shape):
+            return Tensor(rng.normal(0.0, 0.5, shape), requires_grad=tracked)
+
+        return HAND_OFF[op](p, p(3, 4, 4))
+
+    for tracked in (True, False):
+        with Tape() as tape:
+            out = call(tracked)
+        assert [rec.op for rec in tape.records] == ([op] if tracked else [])
+        assert out.requires_grad is tracked
+    assert call(True).requires_grad is False
 
 
 def test_backward_rejects_nonscalar_and_untracked_loss():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
-        y = ops.scale(x, 2.0)
+        y = ops.elementwise("identity", x)
     with pytest.raises(TapeError):
         backward(tape, y)
     with Tape() as tape2:
@@ -94,7 +121,7 @@ def test_unused_leaf_gets_zero_grad():
     x = Tensor([1.0], requires_grad=True)
     unused = Tensor([5.0], requires_grad=True)
     with Tape() as tape:
-        probe = ops.scale(unused, 1.0)
+        probe = ops.elementwise("identity", unused)
         loss = ops.sum_all(ops.mul(x, x))
     backward(tape, loss)
     assert probe.grad is None  # intermediate gradients are released
@@ -116,9 +143,10 @@ def test_backward_consumes_the_tape():
 
 def test_backward_skips_records_the_loss_never_reached():
     x = Tensor([1.0], requires_grad=True)
+    two, three, five = Tensor([2.0]), Tensor([3.0]), Tensor([5.0])
     with Tape() as tape:
-        ops.scale(x, 3.0)
-        loss = ops.sum_all(ops.scale(ops.scale(x, 2.0), 5.0))
+        ops.mul(x, three)
+        loss = ops.sum_all(ops.mul(ops.mul(x, two), five))
         calls = []
         tape.records[0].backward_fn = lambda g: calls.append(g) or (g,)
     backward(tape, loss)
@@ -159,7 +187,7 @@ def test_backward_bitwise_matches_zero_fill_on_fan_out():
     topo = chain_topology(n)
 
     def f():
-        u = ops.scale(x, 0.7)
+        u = ops.mul(x, Tensor(np.full(x.shape, 0.7)))
         seq, att = gru_sequence(gru, u, h0), gat_forward(gat, u, topo)
         side = ops.mul(seq, att)  # swept after `both`, which seq and att share
         both = ops.add(seq, att)
@@ -170,7 +198,7 @@ def test_backward_bitwise_matches_zero_fill_on_fan_out():
             ops.mul(gru_sequence(gru, x, h0), gat_forward(gat, x, topo)),
             ops.mul(ops.add(x, x), u),
         ]
-        ops.scale(unused, 2.0)  # recorded, but never reaches the loss
+        ops.elementwise("identity", unused)  # recorded, but never reaches the loss
         total = terms[0]
         for term in terms[1:]:
             total = ops.add(total, term)
@@ -242,7 +270,7 @@ def test_fused_backward_never_writes_its_incoming_gradient(op):
 def test_first_invalid_record_names_nan_source():
     x = Tensor([1.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        a = ops.scale(x, 2.0)
+        a = ops.add(x, x)
         bad = ops.elementwise("identity", Tensor([np.nan, 0.0], requires_grad=True))
         ops.add(a, bad)
     name = first_invalid_record(tape)
@@ -252,7 +280,7 @@ def test_first_invalid_record_names_nan_source():
 def test_first_invalid_record_ignores_neg_inf():
     x = Tensor([[0.0, -np.inf]], requires_grad=True)
     with Tape() as tape:
-        ops.scale(x, 1.0)
+        ops.elementwise("identity", x)
     assert first_invalid_record(tape) is None
 
 
