@@ -20,8 +20,8 @@ matmul per step, and backward writes each step's gate pre-activation
 gradients over that step's spent activations, so the input, input-weight
 and bias gradients of all steps each take one matmul or sum. Both step
 loops work in place in buffers made once per call; the record saves only
-the gate activations and the output states. ``gru_cell_step`` stays as
-the per-op reference it is checked against.
+the gate activations and the output states. It takes the model's
+[T, B, N, H] stream as it is; ``gru_cell_step`` is its per-op reference.
 """
 
 from __future__ import annotations
@@ -139,14 +139,10 @@ def _gate(w: Tensor, b: Tensor, h_rows: Tensor, x_rows: Tensor, act: str) -> Ten
 
 
 def _check_step_shapes(h: int, d: int, h_prev: Tensor, x: Tensor) -> None:
-    if h_prev.ndim != x.ndim:
-        raise ShapeError(f"state {list(h_prev.shape)} and input {list(x.shape)} rank mismatch")
-    if h_prev.shape[-1] != h or x.shape[-1] != d:
+    if h_prev.shape[:-1] != x.shape[:-1] or h_prev.shape[-1:] != (h,) or x.shape[-1:] != (d,):
         raise ShapeError(
-            f"state {list(h_prev.shape)} / input {list(x.shape)} do not match h={h}, d={d}"
+            f"state {list(h_prev.shape)} / input {list(x.shape)} do not match [..., {h}] / [..., {d}]"
         )
-    if h_prev.ndim == 2 and h_prev.shape[0] != x.shape[0]:
-        raise ShapeError(f"row counts differ: {h_prev.shape[0]} vs {x.shape[0]}")
 
 
 def rnn_cell_step(p: RNNCellParams, h_prev: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -203,8 +199,9 @@ def gru_cell_step(p: GRUCellParams, h_prev: Tensor, x: Tensor) -> Tensor:
 
 
 def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
-    """Run the GRU along axis 0 of ``inputs`` ([T, d] with h0 [h], or
-    [T, R, d] with h0 [R, h]) and return the stacked states [T, (R,) h].
+    """Run the GRU along axis 0 of ``inputs`` [T, ..., d] from h0 [..., h]
+    and return the states [T, ..., h]; each position of the middle axes,
+    such as a (sample, node) of the model's stream, is its own track.
 
     Each step's input is projected inside the loop, taped or not. Records
     one tape op over (inputs, h0, w_z, b_z, w_r, b_r, w_h, b_h) that saves
@@ -215,8 +212,8 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     gradient one step's product at a time, so it adds one [T, h, R] stream
     of r * h_prev, the input gradient it returns and [h, R] buffers.
     """
-    if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
-        raise ShapeError(f"gru_sequence expects [T, d] or [T, rows, d] inputs, got {list(inputs.shape)}")
+    if inputs.ndim < 2 or inputs.shape[0] < 1:
+        raise ShapeError(f"gru_sequence expects [T, ..., d] inputs, got {list(inputs.shape)}")
     h, d = p.hidden_size, p.input_size
     _check_step_shapes(h, d, h0, inputs.data[0])
     t_len = inputs.shape[0]
@@ -301,7 +298,7 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
 
 def unroll(kind: str, params: GRUCellParams, inputs: Tensor, h0: HiddenState | None = None) -> Tensor:
     """Run the GRU, the only ``kind`` run along a sequence, over axis 0 of
-    ``inputs`` ([T, d] or [T, R, d]) from ``h0``, zeros by default, as the
+    ``inputs`` [T, ..., d] from ``h0`` [..., h], zeros by default, as the
     one record of :func:`gru_sequence`, which checks the shapes."""
     if kind != "gru":
         raise ValueError(f"unknown cell kind {kind!r}; known: ['gru']")

@@ -33,8 +33,8 @@ from .data import (
     write_dataset,
 )
 from .gradcheck import finite_diff_check
-from .graph import (GATLayerParams, SkeletonTopology, TopologyError, chain_topology,
-                    gat_forward, resolve_topology)
+from .graph import (GATLayerParams, SkeletonTopology, TopologyError, build_normalized_adjacency,
+                    chain_topology, gat_forward, gcn_forward, resolve_topology)
 from .model import (
     init_model_params,
     model_gradient_report,
@@ -245,6 +245,12 @@ def _primitive_checks(seed: int) -> list[tuple[str, float]]:
         results.append((f"gat_layer_{name}", finite_diff_check(
             lambda: ops.sum_all(ops.mul(gat_forward(gat, gat_h, star), gat_weights)), leaf)))
 
+    # drawn last, so that every row above keeps its inputs
+    adj, gcn_h, gcn_w, gcn_weights = build_normalized_adjacency(star), t(2, 3, 5, 3), t(3, 4), t(2, 3, 5, 4)
+    for name, leaf in (("h", gcn_h), ("w", gcn_w)):
+        results.append((f"gcn_layer_{name}", finite_diff_check(
+            lambda: ops.sum_all(ops.mul(gcn_forward(adj, gcn_h, gcn_w, act="elu"), gcn_weights)), leaf)))
+
     return results
 
 
@@ -330,11 +336,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

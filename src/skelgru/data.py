@@ -38,7 +38,11 @@ class KeypointSequence:
     frames: np.ndarray
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.asarray(self.frames)
+        # a float64 cast parses "0.5"; an object array (an int beyond int64) may hold strings too
+        if frames.dtype.kind in "SU" or (frames.dtype == object and any(isinstance(v, str) for v in frames.flat)):
+            raise DataFormatError(f"sample {self.id!r}: string coordinate")
+        self.frames = frames.astype(np.float64, copy=False)
         if self.frames.ndim != 3 or self.frames.shape[2] != 3:
             raise DataFormatError(
                 f"sample {self.id!r}: frames must be [T, N, 3], got {list(self.frames.shape)}"

@@ -4,9 +4,10 @@ temporal attention pooling, dense head.
 Batches are [batch B, frames T, nodes N, features]; the stream between
 embedding and pooling is time-major, [T, B, N, H]. Each stage runs the
 spatial layer per frame, then a shared-weight GRU along t per (sample,
-node), read through a reshape; a fused residual layer norm closes the
-stage. Pooling flattens each frame to one N*H vector, scores it with a
-shared linear map, and softmaxes the scores over real frames only.
+node), which reads the stream as it is; a fused residual layer norm
+closes the stage. Pooling flattens each frame to one N*H vector, scores
+it with a shared linear map, and softmaxes the scores over real frames
+only.
 
 The embedding and the head's output layer are each one ``linear`` record,
 which keeps its operands but no product, and pooling is one
@@ -223,14 +224,12 @@ def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> T
     """
     if h_in.ndim != 4:
         raise ShapeError(f"stage input must be [T,B,N,H], got {list(h_in.shape)}")
-    t, b, n, h = h_in.shape
     if isinstance(stage.gnn, Tensor):
         spatial = gcn_forward(topo.normalized_adjacency, h_in, stage.gnn, act="relu")
     else:
         spatial = gat_forward(stage.gnn, h_in, topo, act="elu")
     assert spatial.shape == h_in.shape
-    states = unroll("gru", stage.gru, ops.reshape(spatial, (t, b * n, h)))
-    return ops.reshape(states, h_in.shape)
+    return unroll("gru", stage.gru, spatial)
 
 
 def residual_norm_stage(stage: StageParams, h_in: Tensor, topo: SkeletonTopology, eps: float) -> Tensor:

@@ -232,13 +232,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def first_invalid_record(tape: Tape) -> str | None:
-    """Name the first record whose output holds NaN or +inf, if any.
-
-    -inf is excluded: it is the sanctioned masking sentinel for attention
-    logits.
-    """
+    """Name the first record whose output holds NaN or an infinity, if any.
+    -inf counts too: the model's masking sentinels stay inside its fused
+    records, so no record on its tape emits one."""
     for rec in tape.records:
-        d = rec.output.data
-        if np.isnan(d).any() or np.isposinf(d).any():
+        if not np.isfinite(rec.output.data).all():
             return f"{rec.op}#{rec.output.tid}"
     return None

@@ -467,6 +467,29 @@ def test_gru_sequence_is_one_record(rng):
     assert [rec.op for rec in tape.records] == ["gru_sequence"]
 
 
+def test_gru_sequence_reads_the_stage_stream_as_rows(rng):
+    """[T, B, N, d] inputs with h0 [B, N, h] give the [T, B*N, d] call's
+    states and all eight gradients bit for bit, so the model hands the GRU
+    its stream with no reshape record."""
+    t_len, b, n, d, h_size = 5, 3, 4, 2, 3
+    p = rand_gru(rng, h_size, d, grad=True)
+    xs, h0 = rand(rng, (t_len, b, n, d), grad=True), rand(rng, (b, n, h_size), grad=True)
+    weights = rand(rng, (t_len, b, n, h_size))
+    xs_rows = Tensor(xs.data.reshape(t_len, b * n, d), requires_grad=True)
+    h0_rows = Tensor(h0.data.reshape(b * n, h_size), requires_grad=True)
+    weights_rows = Tensor(weights.data.reshape(t_len, b * n, h_size))
+    states = gru_sequence(p, xs, h0).data
+    assert states.shape == (t_len, b, n, h_size)
+    assert np.array_equal(states.reshape(t_len, b * n, h_size), gru_sequence(p, xs_rows, h0_rows).data)
+    _, grads = _states_and_grads(gru_sequence, p, xs, h0, weights)
+    _, want = _states_and_grads(gru_sequence, p, xs_rows, h0_rows, weights_rows)
+    for name, got, ref in zip(("inputs", "h0") + GRU_LEAVES, grads, want):
+        assert np.array_equal(got.reshape(ref.shape), ref), name
+    for bad_h0 in ((b * n, h_size), (n, b, h_size), (b, n, h_size + 1), (t_len, b, n, h_size)):
+        with pytest.raises(ShapeError):
+            gru_sequence(p, xs, rand(rng, bad_h0))
+
+
 def test_gru_sequence_without_tape_records_nothing_and_keeps_bits(rng):
     p = rand_gru(rng, 3, 2, grad=True)
     xs, h0 = rand(rng, (5, 4, 2), grad=True), rand(rng, (4, 3))

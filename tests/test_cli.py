@@ -367,6 +367,14 @@ class TestPredict:
         flagged = json.loads(json.dumps(rec["frames"]))
         flagged[0][1][0] = True  # numpy alone would read it as 1.0
         cases.append((dict(rec, frames=flagged), f":1: sample {rec['id']!r}: boolean coordinate"))
+        # numpy alone would parse "0.5" as 0.5; beside an integer beyond
+        # int64 the frames convert to an object array, not a string one
+        for far_int in (None, 10**30):
+            quoted = json.loads(json.dumps(rec["frames"]))
+            quoted[0][1][0] = "0.5"
+            if far_int is not None:
+                quoted[0][2][0] = far_int
+            cases.append((dict(rec, frames=quoted), f":1: sample {rec['id']!r}: string coordinate"))
         bad = tmp_path / "bad.jsonl"
         for case, message in cases:
             bad.write_text(json.dumps(case) + "\n")
@@ -374,6 +382,10 @@ class TestPredict:
             assert run("predict", str(bad), *args) == EXIT_DATA
             captured = capsys.readouterr()
             assert message in captured.err and not captured.out
+        big = json.loads(json.dumps(rec["frames"]))
+        big[0][1][0] = 10**30  # a JSON integer beyond int64 that a float holds
+        bad.write_text(json.dumps(dict(rec, frames=big)) + "\n")
+        assert run("predict", str(bad), *args) == EXIT_OK
 
     def test_integer_coordinate_beyond_float_range_is_data_error(self, tmp_path, capsys):
         args = synth_and_train(tmp_path)
@@ -439,6 +451,7 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "gradcheck PASS" in out
         assert "max parameter error" in out
+        assert "primitive gcn_layer_h " in out and "primitive gcn_layer_w " in out
 
     def test_repeated_runs_identical_output(self, capsys):
         assert run("gradcheck") == EXIT_OK
@@ -454,6 +467,16 @@ class TestGradcheck:
         labels = [label.rstrip() for label, _, _ in rows]
         assert "primitive residual_norm_block" in labels  # the longest primitive name
         assert {len(label) for label, _, _ in rows} == {max(map(len, labels))}
+
+
+def test_python_dash_m_passes_exit_codes_through():
+    """``python -m skelgru`` exits with ``main``'s code, as the console script does."""
+    src = str(Path(skelgru.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv, code in ((["gradcheck"], EXIT_OK), (["gradcheck", "--set", "no.such_key=1"], EXIT_CONFIG)):
+        proc = subprocess.run([sys.executable, "-m", "skelgru", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+    assert "unknown key 'no.such_key'" in proc.stderr
 
 
 def test_each_module_imports_alone():

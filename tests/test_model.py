@@ -681,38 +681,41 @@ def _desk_training_tape(config, params, batch):
 
 
 def test_desk_forward_record_count():
-    """The desk model's inference-mode forward pass is 27 tape records:
+    """The desk model's inference-mode forward pass is 19 tape records:
     one ``linear`` embedding, four fused GRU records, four fused GAT
     layers, four fused residual norms, one ``attention_pool`` record that
-    makes no transpose of the time-major stream, and the head. A per-op
-    GRU adds about 670 records per stage and a per-op GAT layer about 57;
-    a batch-major stream with a separate add and layer norm adds 3 per
-    stage; the per-op embedding, pooling and output layer added 12."""
+    makes no transpose of the time-major stream, and the head. The GRU
+    reads the [T, B, N, H] stream as it is: two reshape records around it
+    added 2 per stage. A per-op GRU adds about 670 records per stage and a
+    per-op GAT layer about 57; a batch-major stream with a separate add and
+    layer norm adds 3 per stage; the per-op embedding, pooling and output
+    layer added 12."""
     config = _desk_config()
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
     counts = tuple(ops_.count(op) for op in ("gru_sequence", "gat_layer", "residual_norm",
-                                             "layer_norm", "transpose", "linear", "attention_pool"))
-    assert (len(ops_), *counts) == (27, 4, 4, 4, 0, 0, 2, 1)
+                                             "layer_norm", "transpose", "reshape", "linear",
+                                             "attention_pool"))
+    assert (len(ops_), *counts) == (19, 4, 4, 4, 0, 0, 0, 2, 1)
 
 
 def test_gcn_forward_record_count():
-    """A one-stage GCN model's inference-mode forward pass is 12 tape
-    records. Its stage is the fused GCN layer, the GRU, their two reshapes
-    and the residual norm: no matmul and no activation record of its own
-    (the per-op GCN layer was three records). The only two matmuls are
-    the head's bias-free layers."""
+    """A one-stage GCN model's inference-mode forward pass is 10 tape
+    records. Its stage is the fused GCN layer, the GRU and the residual
+    norm: no reshape, matmul or activation record of its own (the per-op
+    GCN layer was three records, and two reshapes wrapped the GRU). The
+    only two matmuls are the head's bias-free layers."""
     config = dataclasses.replace(_desk_config(), gnn_kind="gcn", stages=1)
     params = init_model_params(config, seed=0)
     with Tape() as tape:
         model_forward(params, config, random_batch(config, b=1), chain_topology(9))
     ops_ = [rec.op for rec in tape.records]
-    assert ops_[:7] == ["linear",  # the embedding
-                        "gcn_layer", "reshape", "gru_sequence", "reshape", "residual_norm",
+    assert ops_[:5] == ["linear",  # the embedding
+                        "gcn_layer", "gru_sequence", "residual_norm",
                         "attention_pool"]
-    assert (len(ops_), ops_.count("gcn_layer"), ops_.count("matmul")) == (12, 1, 2)
+    assert (len(ops_), ops_.count("gcn_layer"), ops_.count("matmul")) == (10, 1, 2)
 
 
 def test_gcn_forwards_share_one_propagation_table(monkeypatch):
