@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ops
-from .cells import GRUCellParams, gru_sequence
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (
     _MODEL_FIELDS,
@@ -32,17 +30,9 @@ from .data import (
     synthesize,
     write_dataset,
 )
-from .gradcheck import finite_diff_check
-from .graph import (GATLayerParams, SkeletonTopology, TopologyError, build_normalized_adjacency,
-                    chain_topology, gat_forward, gcn_forward, resolve_topology)
-from .model import (
-    init_model_params,
-    model_gradient_report,
-    named_parameters,
-    predict,
-    tiny_reference_config,
-)
-from .seeding import derive_rng
+from .gradcheck import PARAM_LIMIT, PRIMITIVE_LIMIT, gate_rows
+from .graph import TopologyError, resolve_topology
+from .model import init_model_params, named_parameters, predict
 from .tensor import Tensor
 from .training import (
     NumericsError,
@@ -57,9 +47,6 @@ EXIT_FAIL = 1  # generic failure, including a failed gradient check
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-PRIMITIVE_LIMIT = 1e-6
-PARAM_LIMIT = 1e-4
 
 
 def _echo_config(cfg: dict, path: Path) -> None:
@@ -180,87 +167,8 @@ def cmd_predict(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _primitive_checks(seed: int) -> list[tuple[str, float]]:
-    """Finite-difference checks for each differentiable building block."""
-    rng = derive_rng(seed, "gradcheck-prims")
-
-    def t(*shape):
-        return Tensor(rng.normal(size=shape), requires_grad=True)
-
-    results = []
-
-    a, b = t(3, 4), t(4, 2)
-    results.append(("matmul", finite_diff_check(lambda: ops.sum_all(ops.matmul(a, b)), a)))
-
-    x = Tensor(rng.normal(size=(4, 5)) + np.where(rng.normal(size=(4, 5)) > 0, 2.0, -2.0),
-               requires_grad=True)
-    for name in ("sigmoid", "tanh", "relu", "elu", "leaky_relu"):
-        results.append((name, finite_diff_check(
-            lambda name=name: ops.sum_all(ops.elementwise(name, x)), x)))
-
-    u, v = t(3, 3), t(3, 3)
-    results.append(("mul", finite_diff_check(lambda: ops.sum_all(ops.mul(u, v)), v)))
-
-    h, bias = t(4, 6), t(6)
-    results.append(("add_bias", finite_diff_check(
-        lambda: ops.sum_all(ops.elementwise("tanh", ops.add_bias(h, bias))), bias)))
-
-    logits = t(3, 4)
-    mask = np.zeros((3, 4))
-    mask[0, 2] = -np.inf
-    mask_t = Tensor(mask)
-    weights = t(3, 4)
-    results.append(("softmax_rows", finite_diff_check(
-        lambda: ops.sum_all(ops.mul(ops.softmax_rows(ops.add(logits, mask_t)), weights)),
-        logits)))
-
-    rn_x, rn_block, gain, rn_b, rn_weights = t(4, 6), t(4, 6), t(6), t(6), t(4, 6)
-    for name, leaf in (("x", rn_x), ("block", rn_block), ("gain", gain)):
-        results.append((f"residual_norm_{name}", finite_diff_check(
-            lambda: ops.sum_all(ops.mul(ops.residual_norm(rn_block, rn_x, gain, rn_b, 1e-5),
-                                        rn_weights)), leaf)))
-
-    ce_logits = t(5, 3)
-    labels = rng.integers(0, 3, size=5)
-    results.append(("cross_entropy", finite_diff_check(
-        lambda: ops.cross_entropy(ce_logits, labels), ce_logits)))
-
-    drop_x = t(4, 5)
-    results.append(("dropout", finite_diff_check(
-        lambda: ops.sum_all(ops.dropout(
-            drop_x, 0.4, training=True, rng=derive_rng(seed, "gradcheck-drop"))),
-        drop_x)))
-
-    gru = GRUCellParams(t(3, 5), t(3), t(3, 5), t(3), t(3, 5), t(3))
-    seq_x, seq_h0, seq_weights = t(4, 2, 2), t(2, 3), t(4, 2, 3)
-    for name, leaf in (("x", seq_x), ("h0", seq_h0), ("w_h", gru.w_h)):
-        results.append((f"gru_sequence_{name}", finite_diff_check(
-            lambda: ops.sum_all(ops.mul(gru_sequence(gru, seq_x, seq_h0), seq_weights)),
-            leaf)))
-
-    star = SkeletonTopology(5, ((0, 1), (0, 2), (0, 3)))  # degree-3 node 0, isolated node 4
-    gat = GATLayerParams(2, [t(3, 2) for _ in range(2)], [t(4) for _ in range(2)])
-    gat_h, gat_weights = t(2, 3, 5, 3), t(2, 3, 5, 4)
-    for name, leaf in (("h", gat_h), ("w", gat.w[1]), ("a", gat.a[0])):
-        results.append((f"gat_layer_{name}", finite_diff_check(
-            lambda: ops.sum_all(ops.mul(gat_forward(gat, gat_h, star), gat_weights)), leaf)))
-
-    # drawn last, so that every row above keeps its inputs
-    adj, gcn_h, gcn_w, gcn_weights = build_normalized_adjacency(star), t(2, 3, 5, 3), t(3, 4), t(2, 3, 5, 4)
-    for name, leaf in (("h", gcn_h), ("w", gcn_w)):
-        results.append((f"gcn_layer_{name}", finite_diff_check(
-            lambda: ops.sum_all(ops.mul(gcn_forward(adj, gcn_h, gcn_w, act="elu"), gcn_weights)), leaf)))
-
-    return results
-
-
 def cmd_gradcheck(cfg: dict, args) -> int:
-    seed = cfg["seed"]
-    prim = _primitive_checks(seed)
-    config = tiny_reference_config()
-    report = model_gradient_report(config, chain_topology(config.n_nodes), seed=seed)
-    rows = [(f"primitive {name}", err, PRIMITIVE_LIMIT) for name, err in prim]
-    rows += [(f"param {name}", report[name], PARAM_LIMIT) for name in sorted(report)]
+    rows = gate_rows(cfg["seed"])
     width = max(len(label) for label, _, _ in rows)  # one error column for every line
     failed = False
     for label, err, limit in rows:
@@ -268,15 +176,12 @@ def cmd_gradcheck(cfg: dict, args) -> int:
         failed |= not ok
         print(f"{label:<{width}} {err:.3e} {'ok' if ok else 'FAIL'}")
 
-    worst_prim = max(prim, key=lambda kv: kv[1])
-    worst_param = max(report.items(), key=lambda kv: kv[1])
+    def worst(kind: str, limit: float) -> str:
+        label, err, _ = max((row for row in rows if row[2] == limit), key=lambda row: row[1])
+        return f"max {kind} error {err:.3e} ({label.split(' ', 1)[1]}, limit {limit:g})"
+
     verdict = "FAIL" if failed else "PASS"
-    print(
-        f"gradcheck {verdict}: max primitive error {worst_prim[1]:.3e} "
-        f"({worst_prim[0]}, limit {PRIMITIVE_LIMIT:g}); "
-        f"max parameter error {worst_param[1]:.3e} "
-        f"({worst_param[0]}, limit {PARAM_LIMIT:g})"
-    )
+    print(f"gradcheck {verdict}: {worst('primitive', PRIMITIVE_LIMIT)}; {worst('parameter', PARAM_LIMIT)}")
     return EXIT_FAIL if failed else EXIT_OK
 
 

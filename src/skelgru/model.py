@@ -380,39 +380,3 @@ def tiny_reference_config() -> ModelConfig:
         n_nodes=3, input_dim=2, classes=3, dropout_rate=0.0,
     )
 
-
-def model_gradient_report(
-    config: ModelConfig,
-    topo: SkeletonTopology,
-    seed: int = 0,
-    eps: float = 1e-4,
-) -> dict[str, float]:
-    """Finite-difference error per parameter for the whole model's loss.
-
-    Builds a random batch (with one padded frame so the masking path is
-    exercised), runs the forward with dropout off, and compares tape
-    gradients against central differences coordinate by coordinate.
-
-    The default eps is the top of the legal range. The attention score
-    offset has a structurally zero gradient (softmax shift invariance),
-    so its comparison is float roundoff against the 1e-8 relative-error
-    floor; a larger step keeps that roundoff term out of the verdict.
-    """
-    from .gradcheck import finite_diff_report
-
-    params = init_model_params(config, seed)
-    rng = derive_rng(seed, "gradcheck-batch")
-    b = 2
-    feats = rng.normal(0.0, 1.0, (b, config.seq_len, config.n_nodes, config.input_dim))
-    mask = np.ones((b, config.seq_len), dtype=bool)
-    if config.seq_len > 1:
-        mask[-1, -1] = False
-        feats[-1, -1] = 0.0
-    labels = rng.integers(0, config.classes, size=b)
-    batch = SequenceBatch(Tensor(feats), mask, labels)
-
-    def f():
-        logits = model_forward(params, config, batch, topo, training=False)
-        return ops.cross_entropy(logits, batch.labels)
-
-    return finite_diff_report(f, named_parameters(params), eps=eps)
