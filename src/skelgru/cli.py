@@ -135,7 +135,7 @@ def cmd_eval(cfg: dict, args) -> int:
     )
     prepared = prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
     report = evaluate(params, model_config, topo, prepared, batch_size=cfg["train.batch_size"])
-    text = format_eval_report(report, sort="f1" if args.sort == "desc" else "f1_asc")
+    text = format_eval_report(report, descending=args.sort == "desc")
     out_path = Path(args.out) if args.out else Path(cfg["out.dir"]) / f"eval_{args.split}.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(text + "\n" + _commented_config(cfg), encoding="utf-8")

@@ -72,8 +72,11 @@ def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
     """Defaults, then file values, then 'key=value' override strings."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read run config: {exc.strerror}") from None
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -99,7 +102,11 @@ def serialize_config(cfg: dict) -> str:
 
 
 def model_config_from(cfg: dict, n_nodes: int) -> ModelConfig:
-    """Build the model shape; n_nodes comes from the resolved topology."""
+    """Build the model shape; n_nodes comes from the resolved topology.
+    Preprocessing always yields (x, y), so a run takes input_dim 2 only."""
+    if cfg["model.input_dim"] != 2:
+        raise ConfigError(f"model.input_dim must be 2, the (x, y) that preprocessing yields, "
+                          f"got {cfg['model.input_dim']}")
     return ModelConfig(n_nodes=n_nodes, **{name: cfg[key] for key, name in _MODEL_FIELDS.items()})
 
 

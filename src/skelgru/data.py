@@ -123,7 +123,7 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
     class_count defaults to max(label)+1 over the file; pass it explicitly
     when the file may not mention every class.
     """
-    samples = []
+    samples, ids = [], set()
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -152,18 +152,20 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
                         f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "
                         f"topology has {topo.n_nodes}"
                     )
+                if seq.id in ids:
+                    raise DataFormatError(f"{path}:{lineno}: duplicate sample id {seq.id!r}")
+                if class_count is not None and seq.label >= class_count:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: sample {seq.id!r}: label {seq.label} outside [0, {class_count})"
+                    )
+                ids.add(seq.id)
                 samples.append(seq)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not samples:
         warnings.warn(f"{path}: no records found", stacklevel=2)
         return DatasetManifest([], class_count if class_count else 1)
-    inferred = int(max(s.label for s in samples)) + 1
-    if class_count is not None and inferred > class_count:
-        raise DataFormatError(
-            f"{path}: label {inferred - 1} outside [0, {class_count})"
-        )
-    return DatasetManifest(samples, class_count if class_count else inferred)
+    return DatasetManifest(samples, class_count if class_count else max(s.label for s in samples) + 1)
 
 
 def write_dataset(manifest: DatasetManifest, path) -> None:

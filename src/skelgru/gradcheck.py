@@ -14,8 +14,7 @@ import numpy as np
 
 from . import ops
 from .cells import GRUCellParams, gru_sequence
-from .graph import (GATLayerParams, SkeletonTopology, build_normalized_adjacency, chain_topology,
-                    gat_forward, gcn_forward)
+from .graph import GATLayerParams, SkeletonTopology, chain_topology, gat_forward, gcn_forward
 from .model import (ModelConfig, SequenceBatch, init_model_params, model_forward, named_parameters,
                     temporal_attention_pool, tiny_reference_config)
 from .seeding import derive_rng
@@ -131,7 +130,7 @@ def _primitive_table(seed: int) -> list[tuple[str, Callable[[], Tensor], Tensor]
     star = SkeletonTopology(5, ((0, 1), (0, 2), (0, 3)))  # degree-3 node 0, isolated node 4
     gat = GATLayerParams(2, [t(3, 2) for _ in range(2)], [t(4) for _ in range(2)])
     gat_h, gat_weights = t(2, 3, 5, 3), t(2, 3, 5, 4)
-    adj, gcn_h, gcn_w, gcn_weights = build_normalized_adjacency(star), t(2, 3, 5, 3), t(3, 4), t(2, 3, 5, 4)
+    gcn_h, gcn_w, gcn_weights = t(2, 3, 5, 3), t(3, 4), t(2, 3, 5, 4)
     lin_x, lin_w, lin_b, lin_weights = t(2, 3, 4), t(4, 5), t(5), t(2, 3, 5)
     pool_h, attn_w, attn_b, pool_weights = t(4, 2, 3, 2), t(6), t(1), t(2, 6)  # [T, B, N, H]
     pool_mask = np.ones((2, 4), dtype=bool)
@@ -156,7 +155,7 @@ def _primitive_table(seed: int) -> list[tuple[str, Callable[[], Tensor], Tensor]
               x=seq_x, h0=seq_h0, w_h=gru.w_h),
         *rows("gat_layer", lambda: weighted(gat_forward(gat, gat_h, star), gat_weights),
               h=gat_h, w=gat.w[1], a=gat.a[0]),
-        *rows("gcn_layer", lambda: weighted(gcn_forward(adj, gcn_h, gcn_w, act="elu"), gcn_weights),
+        *rows("gcn_layer", lambda: weighted(gcn_forward(gcn_w, gcn_h, star, act="elu"), gcn_weights),
               h=gcn_h, w=gcn_w),
         *rows("linear", lambda: weighted(ops.linear(lin_x, lin_w, lin_b), lin_weights), x=lin_x, w=lin_w),
         *rows("attention_pool", lambda: weighted(temporal_attention_pool(

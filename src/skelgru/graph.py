@@ -13,9 +13,9 @@ attention layer (Velickovic et al. 2018, arXiv 1710.10903) projects all
 heads in one matmul and scores them in one block-diagonal matmul,
 feature-major with the frames last, over a padded table of each node's
 closed neighborhood; it keeps the attention weights and its output, and
-its backward repeats the projection rather than keep it. Both tables,
-the convolution's and the padded neighborhoods, are built once per
-topology.
+its backward repeats the projection rather than keep it. Each layer
+reads its table from the topology, which builds it once: the
+convolution's propagation table and the padded neighborhoods.
 """
 
 from __future__ import annotations
@@ -89,11 +89,13 @@ class SkeletonTopology:
         return nbr, np.arange(width) >= np.array(list(map(len, rows)))[:, None]
 
     @cached_property
-    def normalized_adjacency(self) -> Tensor:
-        """The GCN's propagation table from :func:`build_normalized_adjacency`,
-        built once and shared by every forward on this topology, so read-only."""
-        table = build_normalized_adjacency(self)
-        table.data.setflags(write=False)
+    def normalized_adjacency(self) -> np.ndarray:
+        """The GCN's propagation table D^-1/2 (A+I) D^-1/2 [N, N], built once
+        and shared by every forward on this topology, so read-only."""
+        a_hat = self.adjacency() + np.eye(self.n_nodes)
+        inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))  # degree plus one; isolated nodes get 1
+        table = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+        table.setflags(write=False)
         return table
 
     def canonical_hash(self) -> str:
@@ -179,48 +181,39 @@ def resolve_topology(spec: str) -> SkeletonTopology:
     return read_topology_file(spec)
 
 
-def build_normalized_adjacency(topo: SkeletonTopology) -> Tensor:
-    """D^-1/2 (A+I) D^-1/2 as an untracked [N, N] tensor, the GCN's
-    propagation table."""
-    a_hat = topo.adjacency() + np.eye(topo.n_nodes)
-    d_hat = a_hat.sum(axis=1)  # degree plus one; isolated nodes get 1
-    inv_sqrt = 1.0 / np.sqrt(d_hat)
-    return Tensor(a_hat * inv_sqrt[:, None] * inv_sqrt[None, :])
-
-
-def gcn_forward(adj: Tensor, h: Tensor, w: Tensor, act: str = "relu") -> Tensor:
-    """act(adj @ h @ w) for the untracked table ``adj`` of
-    :func:`build_normalized_adjacency`; leading axes of ``h`` are
-    independent frames. Records one tape op over (h, w) whose backward
-    keeps only the output, which gives the activation's derivative, and
-    recomputes adj @ h with the forward's call, so every gradient has the
-    bits of the per-op product chain. It sums the weight gradient one
-    frame's product at a time, so it adds two streams of h's size at most.
+def gcn_forward(w: Tensor, h: Tensor, topo: SkeletonTopology, act: str = "relu") -> Tensor:
+    """act(adj @ h @ w) for the topology's read-only propagation table
+    ``topo.normalized_adjacency``; leading axes of ``h`` are independent
+    frames. Records one tape op over (h, w) whose backward keeps only the
+    output, which gives the activation's derivative, and recomputes adj @ h
+    with the forward's call, so every gradient has the bits of the per-op
+    product chain. It sums the weight gradient one frame's product at a
+    time, so it adds two streams of h's size at most.
     """
     if act not in ops.UNARY:
         raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
-    if adj.requires_grad:
-        raise ValueError("the GCN propagation table must be untracked")
-    if h.ndim < 2 or w.ndim != 2 or h.shape[-2:] != (adj.shape[0], w.shape[0]):
-        raise ShapeError(f"GCN input {list(h.shape)} does not match table {list(adj.shape)} "
-                         f"and weights {list(w.shape)}")
+    n = topo.n_nodes
+    if h.ndim < 2 or w.ndim != 2 or h.shape[-2:] != (n, w.shape[0]):
+        raise ShapeError(f"GCN input {list(h.shape)} and weights {list(w.shape)} "
+                         f"do not chain over {n} nodes")
+    adj = topo.normalized_adjacency
     fn, dfn = ops.UNARY[act]
-    pre = np.matmul(np.matmul(adj.data, h.data), w.data)
+    pre = np.matmul(np.matmul(adj, h.data), w.data)
     out = Tensor(fn(pre, out=pre))
     tape = tape_for((h, w))
     if tape is None:
         return out
-    ad, hd, wd = adj.data, h.data, w.data
-    (n, d_in), d_out = hd.shape[-2:], wd.shape[1]
+    hd, wd = h.data, w.data
+    d_in, d_out = wd.shape
 
     def back(grad):
         d = dfn(out.data)
         d *= grad
         # frame by frame, so no [frames, d_in, d_out] stack of products is made
-        d_w = ops.sum_of_products(zip(np.swapaxes(np.matmul(ad, hd), -1, -2).reshape(-1, d_in, n),
+        d_w = ops.sum_of_products(zip(np.swapaxes(np.matmul(adj, hd), -1, -2).reshape(-1, d_in, n),
                                       d.reshape(-1, n, d_out)))
         d = np.matmul(d, wd.T)
-        return np.matmul(ad.T, d), d_w
+        return np.matmul(adj.T, d), d_w
 
     tape.record("gcn_layer", (h, w), out, back)
     return out

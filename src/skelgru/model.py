@@ -225,7 +225,7 @@ def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> T
     if h_in.ndim != 4:
         raise ShapeError(f"stage input must be [T,B,N,H], got {list(h_in.shape)}")
     if isinstance(stage.gnn, Tensor):
-        spatial = gcn_forward(topo.normalized_adjacency, h_in, stage.gnn, act="relu")
+        spatial = gcn_forward(stage.gnn, h_in, topo, act="relu")
     else:
         spatial = gat_forward(stage.gnn, h_in, topo, act="elu")
     assert spatial.shape == h_in.shape

@@ -158,51 +158,36 @@ UNARY = {
                    _unary(lambda y, d: np.add(np.multiply(np.greater(y, 0.0, out=d), 0.8, out=d), 0.2, out=d))),
 }
 
-_BINARY = {
-    "add": (lambda a, b: a + b, lambda a, b, g: (g, g)),
-    "sub": (lambda a, b: a - b, lambda a, b, g: (g, -g)),
-    "mul": (lambda a, b: a * b, lambda a, b, g: (g * b, g * a)),
-}
+def elementwise(tag: str, x: Tensor) -> Tensor:
+    """The :data:`UNARY` activation ``tag`` of ``x``; layers name their
+    activation by one of these tags. The record's backward keeps only its
+    output."""
+    if tag not in UNARY:
+        raise ValueError(f"unknown elementwise tag {tag!r}; known: {sorted(UNARY)}")
+    fn, dfn = UNARY[tag]
+    y = fn(x.data)
+    return _emit(tag, (x,), y, lambda g: (g * dfn(y),))
 
 
-def elementwise(tag: str, *args: Tensor) -> Tensor:
-    """Tagged pointwise op: unary activations plus same-shape add/mul/sub.
-    Layers name their activation by one of these tags. A unary record's
-    backward keeps only its output; a binary one keeps both operands."""
-    if tag in UNARY and len(args) == 1:
-        (x,) = args
-        fn, dfn = UNARY[tag]
-        y = fn(x.data)
-
-        def back(g, _dfn=dfn, _y=y):
-            return (g * _dfn(_y),)
-
-        return _emit(tag, (x,), y, back)
-    if tag in _BINARY and len(args) == 2:
-        a, b = args
-        if a.shape != b.shape:
-            raise ShapeError(f"{tag} requires identical shapes, got {list(a.shape)} vs {list(b.shape)}")
-        fn, dfn = _BINARY[tag]
-        ad, bd = a.data, b.data
-
-        def back(g, _dfn=dfn, _ad=ad, _bd=bd):
-            return _dfn(_ad, _bd, g)
-
-        return _emit(tag, (a, b), fn(ad, bd), back)
-    raise ValueError(f"unknown elementwise tag {tag!r} for {len(args)} operand(s); "
-                     f"unary: {sorted(UNARY)}, binary: {sorted(_BINARY)}")
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} requires identical shapes, got {list(a.shape)} vs {list(b.shape)}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("add", a, b)
+    _same_shape("add", a, b)
+    return _emit("add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("sub", a, b)
+    _same_shape("sub", a, b)
+    return _emit("sub", (a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("mul", a, b)
+    _same_shape("mul", a, b)
+    ad, bd = a.data, b.data
+    return _emit("mul", (a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

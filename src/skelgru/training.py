@@ -244,19 +244,12 @@ def per_class_metrics(confusion: np.ndarray) -> list[ClassMetrics]:
     return out
 
 
-def format_eval_report(report: EvalReport, sort: str = "class") -> str:
-    """Plain-text table: class, precision, recall, f1, support.
-
-    sort is 'class' (ascending index), 'f1' (descending score), or
-    'f1_asc' (ascending score); score ties break by class index.
+def format_eval_report(report: EvalReport, descending: bool = True) -> str:
+    """Plain-text table: class, precision, recall, f1, support, ordered by
+    f1, descending or ascending; score ties break by class index.
     """
-    if sort not in ("class", "f1", "f1_asc"):
-        raise ValueError(f"sort must be 'class', 'f1' or 'f1_asc', got {sort!r}")
-    rows = list(enumerate(report.per_class))
-    if sort == "f1":
-        rows.sort(key=lambda kv: (-kv[1].f1, kv[0]))
-    elif sort == "f1_asc":
-        rows.sort(key=lambda kv: (kv[1].f1, kv[0]))
+    sign = -1 if descending else 1
+    rows = sorted(enumerate(report.per_class), key=lambda kv: (sign * kv[1].f1, kv[0]))
     lines = [f"accuracy {report.accuracy:.6f}", "class precision recall f1 support"]
     for idx, m in rows:
         star = " *" if m.zero_division else ""

@@ -37,7 +37,6 @@ from skelgru.data import (
 from skelgru.graph import (
     GATLayerParams,
     SkeletonTopology,
-    build_normalized_adjacency,
     chain_topology,
     gat_coefficients,
     gat_forward,
@@ -208,7 +207,7 @@ def test_04_structural_invariants(capsys):
         w=[Tensor(rng.normal(size=(d, 2))) for _ in range(2)],
         a=[Tensor(rng.normal(size=4)) for _ in range(2)],
     )
-    base_gcn = gcn_forward(build_normalized_adjacency(topo), Tensor(feats), gcn_w).data
+    base_gcn = gcn_forward(gcn_w, Tensor(feats), topo).data
     base_gat = gat_forward(gat, Tensor(feats), topo).data
 
     worst = 0.0
@@ -217,7 +216,7 @@ def test_04_structural_invariants(capsys):
         p_topo = SkeletonTopology(n, tuple((int(perm[i]), int(perm[j])) for i, j in topo.edges))
         p_feats = np.empty_like(feats)
         p_feats[perm] = feats
-        p_gcn = gcn_forward(build_normalized_adjacency(p_topo), Tensor(p_feats), gcn_w).data
+        p_gcn = gcn_forward(gcn_w, Tensor(p_feats), p_topo).data
         p_gat = gat_forward(gat, Tensor(p_feats), p_topo).data
         worst = max(worst, np.abs(p_gcn[perm] - base_gcn).max(), np.abs(p_gat[perm] - base_gat).max())
 

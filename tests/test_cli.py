@@ -125,6 +125,27 @@ class TestTrain:
         assert "must be finite" in err and f"got {value}" in err
         assert not (tmp_path / "run/train_log.jsonl").exists()  # train() opens it first
 
+    def test_input_dim_other_than_two_is_config_error_before_any_output(self, tmp_path, capsys):
+        args = tiny_overrides(tmp_path, **{"model.input_dim": 3})
+        assert run("synth", *args) == EXIT_OK
+        capsys.readouterr()
+        assert run("train", *args) == EXIT_CONFIG
+        assert "config error: model.input_dim must be 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # no run_config.cfg, no emptied train_log.jsonl
+
+    def test_duplicate_id_and_out_of_range_label_name_their_line(self, tmp_path, capsys):
+        args = tiny_overrides(tmp_path)
+        assert run("synth", *args) == EXIT_OK
+        train_file = tmp_path / "data/train.jsonl"
+        lines = train_file.read_text().splitlines()
+        first = json.loads(lines[0])
+        for bad, fault in ((dict(first), f"duplicate sample id {first['id']!r}"),
+                           (dict(first, id="far", label=2), "sample 'far': label 2 outside [0, 2)")):
+            train_file.write_text("\n".join([*lines[:3], json.dumps(bad), *lines[3:]]) + "\n")
+            capsys.readouterr()
+            assert run("train", *args) == EXIT_DATA
+            assert f"data error: {train_file}:4: {fault}" in capsys.readouterr().err
+
     def test_resume_from_compatible_checkpoint(self, tmp_path):
         args = synth_and_train(tmp_path)
         ckpt = tmp_path / "run/best.ckpt"
@@ -432,6 +453,13 @@ def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(t
     capsys.readouterr()
     assert run("eval", "--split", "val", "--config", str(run_config), *args) == EXIT_CONFIG
     assert f"config error: {run_config}:2: not UTF-8 text: invalid start byte" in capsys.readouterr().err
+
+
+def test_missing_or_unreadable_run_config_is_config_error(tmp_path, capsys):
+    for path in (tmp_path / "nonexistent.cfg", tmp_path):  # a directory cannot be read either
+        capsys.readouterr()
+        assert run("train", "--config", str(path)) == EXIT_CONFIG
+        assert f"config error: {path}: cannot read run config" in capsys.readouterr().err
 
 
 def test_topology_file_faults_are_data_errors_naming_their_line(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Topology handling and the two spatial layers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from skelgru.graph import (
     GATLayerParams,
     SkeletonTopology,
     TopologyError,
-    build_normalized_adjacency,
     chain_topology,
     default_17_topology,
     gat_coefficients,
@@ -155,19 +156,19 @@ def test_resolve_topology_specs(tmp_path):
 # normalized adjacency
 
 def test_normalized_adjacency_examples():
-    single = build_normalized_adjacency(SkeletonTopology(1, ())).data
+    single = SkeletonTopology(1, ()).normalized_adjacency
     assert np.array_equal(single, [[1.0]])
 
-    pair = build_normalized_adjacency(SkeletonTopology(2, ((0, 1),))).data
+    pair = SkeletonTopology(2, ((0, 1),)).normalized_adjacency
     assert np.allclose(pair, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
-    path = build_normalized_adjacency(chain_topology(3)).data
+    path = chain_topology(3).normalized_adjacency
     assert np.isclose(path[0, 1], 1.0 / np.sqrt(6.0))
     assert np.isclose(path[0, 1], 0.40825, atol=5e-6)
 
 
 def test_normalized_adjacency_isolated_node():
-    m = build_normalized_adjacency(SkeletonTopology(3, ((0, 1),))).data
+    m = SkeletonTopology(3, ((0, 1),)).normalized_adjacency
     assert m[2, 2] == 1.0
     assert m[2, 0] == m[2, 1] == 0.0
 
@@ -179,7 +180,7 @@ def test_normalized_adjacency_matches_oracle(n, seed):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     take = rng.random(len(pairs)) < 0.4
     edges = tuple(p for p, t in zip(pairs, take) if t)
-    got = build_normalized_adjacency(SkeletonTopology(n, edges)).data
+    got = SkeletonTopology(n, edges).normalized_adjacency
     want = oracles.normalized_adjacency_ref(n, edges)
     assert np.allclose(got, want, atol=1e-14)
     assert np.array_equal(got, got.T)
@@ -190,41 +191,37 @@ def test_normalized_adjacency_matches_oracle(n, seed):
 # GCN
 
 def test_gcn_identity_adjacency_passes_features_through(rng):
-    adj = build_normalized_adjacency(SkeletonTopology(3, ()))
     h = rand(rng, (3, 4))
-    out = gcn_forward(adj, h, Tensor(np.eye(4)), act="identity")
+    out = gcn_forward(Tensor(np.eye(4)), h, SkeletonTopology(3, ()), act="identity")
     assert np.allclose(out.data, h.data)
 
 
 def test_gcn_two_node_complete_example():
-    adj = build_normalized_adjacency(SkeletonTopology(2, ((0, 1),)))
-    out = gcn_forward(adj, Tensor(np.eye(2)), Tensor(np.eye(2)), act="identity")
+    out = gcn_forward(Tensor(np.eye(2)), Tensor(np.eye(2)), SkeletonTopology(2, ((0, 1),)), act="identity")
     assert np.allclose(out.data, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_gcn_zero_weights_zero_output(rng):
-    adj = build_normalized_adjacency(chain_topology(4))
-    out = gcn_forward(adj, rand(rng, (4, 3)), Tensor(np.zeros((3, 2))), act="relu")
+    out = gcn_forward(Tensor(np.zeros((3, 2))), rand(rng, (4, 3)), chain_topology(4), act="relu")
     assert np.array_equal(out.data, np.zeros((4, 2)))
 
 
 def test_gcn_matches_loop_oracle(rng):
     topo = chain_topology(5)
-    adj = build_normalized_adjacency(topo)
     h, w = rand(rng, (5, 3)), rand(rng, (3, 4))
     for act in ("identity", "relu", "elu"):
-        got = gcn_forward(adj, h, w, act=act).data
-        want = oracles.gcn_ref(adj.data, h.data, w.data, act)
+        got = gcn_forward(w, h, topo, act=act).data
+        want = oracles.gcn_ref(topo.normalized_adjacency, h.data, w.data, act)
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_gcn_on_stacked_frames_equals_per_frame(rng):
-    adj = build_normalized_adjacency(chain_topology(4))
+    topo = chain_topology(4)
     frames = rand(rng, (6, 4, 3))
     w = rand(rng, (3, 5))
-    batched = gcn_forward(adj, frames, w, act="relu").data
+    batched = gcn_forward(w, frames, topo, act="relu").data
     for t in range(6):
-        single = gcn_forward(adj, Tensor(frames.data[t]), w, act="relu").data
+        single = gcn_forward(w, Tensor(frames.data[t]), topo, act="relu").data
         assert np.allclose(batched[t], single, atol=1e-14)
 
 
@@ -232,10 +229,9 @@ def test_gcn_with_identity_adjacency_is_the_feedforward_case(rng):
     # edgeless graph + identity activation reduces the spatial layer to a
     # plain dense transform of each node feature
     n, d, h_size = 3, 4, 5
-    adj = build_normalized_adjacency(SkeletonTopology(n, ()))
     w = rand(rng, (d, h_size))
     feats = rand(rng, (n, d))
-    spatial = gcn_forward(adj, feats, w, act="tanh").data
+    spatial = gcn_forward(w, feats, SkeletonTopology(n, ()), act="tanh").data
 
     p = RNNCellParams(
         w_h=Tensor(np.concatenate([np.zeros((h_size, h_size)), w.data.T], axis=1)),
@@ -253,9 +249,9 @@ def test_gcn_with_identity_adjacency_is_the_feedforward_case(rng):
 def test_spatial_layers_reject_unknown_activation(rng):
     topo = chain_topology(3)
     h = rand(rng, (3, 2))
-    for act in ("gelu", "add"):  # "add" is a tag, but not an activation
+    for act in ("gelu", "add"):  # "add" is an op, but not an activation
         with pytest.raises(ValueError, match=f"'{act}'"):
-            gcn_forward(build_normalized_adjacency(topo), h, rand(rng, (2, 2)), act=act)
+            gcn_forward(rand(rng, (2, 2)), h, topo, act=act)
     with pytest.raises(ValueError, match="'gelu'"):
         gat_forward(random_gat_params(rng, 2, 2), h, topo, act="gelu")
 
@@ -265,13 +261,15 @@ def test_spatial_layers_reject_unknown_activation(rng):
 def test_gcn_layer_matches_per_op_composition_bit_for_bit(act, shape, rng):
     """One gcn_layer record gives the output and the h and w gradients of
     the matmul, matmul, activation records it replaces, bit for bit."""
-    adj = build_normalized_adjacency(chain_topology(4))
+    topo = chain_topology(4)
+    adj = Tensor(topo.normalized_adjacency)
     h, w = rand(rng, shape, grad=True), rand(rng, (3, 5), grad=True)
     weights = rand(rng, shape[:-1] + (5,))
     results = []
-    for layer in (gcn_forward, lambda a, x, v, f: ops.elementwise(f, ops.matmul(ops.matmul(a, x), v))):
+    for layer in (lambda: gcn_forward(w, h, topo, act),
+                  lambda: ops.elementwise(act, ops.matmul(ops.matmul(adj, h), w))):
         with Tape() as tape:
-            out = layer(adj, h, w, act)
+            out = layer()
             loss = ops.sum_all(ops.mul(out, weights))
         backward(tape, loss)
         results.append((out.data, h.grad, w.grad))
@@ -280,31 +278,28 @@ def test_gcn_layer_matches_per_op_composition_bit_for_bit(act, shape, rng):
 
 
 def test_gcn_layer_is_one_record_over_h_and_w(rng):
-    adj = build_normalized_adjacency(chain_topology(4))
+    topo = chain_topology(4)
     h, w = rand(rng, (2, 3, 4, 3), grad=True), rand(rng, (3, 2), grad=True)
     with Tape() as tape:
-        out = gcn_forward(adj, h, w)
-        untracked = gcn_forward(adj, rand(rng, (4, 3)), rand(rng, (3, 2)))
+        out = gcn_forward(w, h, topo)
+        untracked = gcn_forward(rand(rng, (3, 2)), rand(rng, (4, 3)), topo)
     (rec,) = tape.records
     assert (rec.op, rec.inputs, rec.output) == ("gcn_layer", (h, w), out)
     assert not untracked.requires_grad
 
 
-def test_gcn_rejects_tracked_adjacency_and_mismatched_shapes(rng):
-    adj = build_normalized_adjacency(chain_topology(4))
-    tracked = Tensor(adj.data, requires_grad=True)
-    with pytest.raises(ValueError, match="untracked"):
-        gcn_forward(tracked, rand(rng, (4, 3), grad=True), rand(rng, (3, 2), grad=True))
-    for h_shape, w_shape in (((5, 3), (3, 2)), ((4, 3), (2, 2)), ((3,), (3, 2))):
-        with pytest.raises(ShapeError):
-            gcn_forward(adj, rand(rng, h_shape), rand(rng, w_shape))
+def test_gcn_rejects_mismatched_shapes_naming_the_node_count(rng):
+    for h_shape, w_shape in (((5, 3), (3, 2)), ((4, 3), (2, 2)), ((3,), (3, 2)), ((4, 3), (3,))):
+        msg = f"GCN input {list(h_shape)} and weights {list(w_shape)} do not chain over 4 nodes"
+        with pytest.raises(ShapeError, match=re.escape(msg)):
+            gcn_forward(rand(rng, w_shape), rand(rng, h_shape), chain_topology(4))
 
 
 def test_gcn_layer_nan_names_fused_record(rng):
     h = rand(rng, (2, 4, 3))
     h.data[1, 2, 0] = np.nan
     with Tape() as tape:
-        out = gcn_forward(build_normalized_adjacency(chain_topology(4)), h, rand(rng, (3, 2), grad=True))
+        out = gcn_forward(rand(rng, (3, 2), grad=True), h, chain_topology(4))
     assert first_invalid_record(tape) == f"gcn_layer#{out.tid}"
 
 
@@ -312,15 +307,15 @@ def test_taped_paper_width_gcn_layer_holds_only_its_output():
     """One paper-width layer ([T=32, B=4, upper17, H=64]) on the tape holds
     its output and nothing else: no product adj @ h, no pre-activation."""
     rng = np.random.default_rng(1609)
-    adj = build_normalized_adjacency(default_17_topology())
+    topo = default_17_topology()
     h = Tensor(rng.normal(0, 1, (32, 4, 17, 64)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.1, (64, 64)), requires_grad=True)
-    untaped = gcn_forward(adj, h, w)
+    untaped = gcn_forward(w, h, topo)
     tape = Tape()
 
     def forward():
         with tape:
-            return gcn_forward(adj, h, w)
+            return gcn_forward(w, h, topo)
 
     taped, held, _ = oracles.traced_streams(forward, h.data.nbytes)
     assert len(tape) == 1
@@ -334,11 +329,10 @@ def test_paper_width_gcn_backward_makes_no_stack_of_products():
     peak is two streams: the derivative and one product of the input
     gradient. The [frames, H, H] stack of products alone is 3.8 streams."""
     rng = np.random.default_rng(1609)
-    adj = build_normalized_adjacency(default_17_topology())
     h = Tensor(rng.normal(0, 1, (32, 4, 17, 64)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.1, (64, 64)), requires_grad=True)
     with Tape() as tape:
-        out = gcn_forward(adj, h, w)
+        out = gcn_forward(w, h, default_17_topology())
     (rec,) = tape.records
     grad = rng.normal(0.0, 1.0, out.shape)
     _, _, added = oracles.traced_streams(lambda: rec.backward_fn(grad), out.data.nbytes)
@@ -596,11 +590,11 @@ def test_gcn_permutation_equivariance(seed):
     perm = rng.permutation(6)
     h = rng.normal(0, 1, (6, 3))
     w = Tensor(rng.normal(0, 1, (3, 4)))
-    base = gcn_forward(build_normalized_adjacency(topo), Tensor(h), w, act="relu").data
+    base = gcn_forward(w, Tensor(h), topo, act="relu").data
     ptopo = permute_topology(topo, perm)
     ph = np.empty_like(h)
     ph[perm] = h  # node i moves to slot perm[i]
-    permuted = gcn_forward(build_normalized_adjacency(ptopo), Tensor(ph), w, act="relu").data
+    permuted = gcn_forward(w, Tensor(ph), ptopo, act="relu").data
     assert np.allclose(permuted[perm], base, atol=1e-12)
 
 
@@ -629,10 +623,10 @@ def test_gat_permutation_equivariance(seed):
 def test_gcn_gradients_pass_finite_differences(rng):
     from skelgru.gradcheck import finite_diff_check
 
-    adj = build_normalized_adjacency(chain_topology(4))
+    topo = chain_topology(4)
     h = rand(rng, (4, 3), grad=True)
     w = rand(rng, (3, 2), grad=True)
-    f = lambda: ops.sum_all(gcn_forward(adj, h, w, act="elu"))  # noqa: E731
+    f = lambda: ops.sum_all(gcn_forward(w, h, topo, act="elu"))  # noqa: E731
     assert finite_diff_check(f, h) <= 1e-6
     assert finite_diff_check(f, w) <= 1e-6
 
@@ -640,12 +634,12 @@ def test_gcn_gradients_pass_finite_differences(rng):
 def test_gcn_gradients_on_stacked_frames_pass_finite_differences(rng):
     from skelgru.gradcheck import finite_diff_check
 
-    adj = build_normalized_adjacency(default_17_topology())
+    topo = default_17_topology()
     h = rand(rng, (2, 3, 17, 4), grad=True)
     w = rand(rng, (4, 3), grad=True)
     weights = rand(rng, (2, 3, 17, 3))
     for act in ("tanh", "elu"):
-        f = lambda act=act: ops.sum_all(ops.mul(gcn_forward(adj, h, w, act=act), weights))  # noqa: E731
+        f = lambda act=act: ops.sum_all(ops.mul(gcn_forward(w, h, topo, act=act), weights))  # noqa: E731
         assert finite_diff_check(f, h) <= 1e-6
         assert finite_diff_check(f, w) <= 1e-6
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import oracles
-from skelgru import graph, model, ops
+from skelgru import model, ops
 from skelgru.cells import GRUCellParams
 from skelgru.config import load_run_config, model_config_from
 from skelgru.gradcheck import finite_diff_check, model_gradient_report
-from skelgru.graph import GATLayerParams, SkeletonTopology, build_normalized_adjacency, chain_topology, gcn_forward
+from skelgru.graph import GATLayerParams, SkeletonTopology, chain_topology, gcn_forward
 from skelgru.model import (
     ModelConfig,
     ModelParams,
@@ -210,7 +210,6 @@ def test_stage_forward_zero_gru_gives_zeros(rng):
 def test_stage_forward_single_step_closed_form(rng):
     # T=1: h = (1-z)*0 + z*tanh(W_h[r*0, x] + b_h) with gates from h_prev=0
     topo = chain_topology(2)
-    adj = build_normalized_adjacency(topo)
     h = 3
     stage = StageParams(
         gnn=Tensor(np.eye(h)),
@@ -223,7 +222,7 @@ def test_stage_forward_single_step_closed_form(rng):
     )
     h_in = rand(rng, (1, 1, 2, h))
     out = stage_forward(stage, h_in, topo).data
-    gcn = oracles.gcn_ref(adj.data, h_in.data[0, 0], np.eye(h), "relu")
+    gcn = oracles.gcn_ref(topo.normalized_adjacency, h_in.data[0, 0], np.eye(h), "relu")
     for v in range(2):
         x = gcn[v]
         hx = [0.0] * h + list(x)
@@ -719,22 +718,27 @@ def test_gcn_forward_record_count():
 
 def test_gcn_forwards_share_one_propagation_table(monkeypatch):
     """The GCN table is built once per topology, not once per stage of
-    every forward, and has the bits of build_normalized_adjacency."""
+    every forward: every stage reads the same read-only cached array."""
     config = dataclasses.replace(_desk_config(), gnn_kind="gcn", stages=3)
     params = init_model_params(config, seed=0)
     topo = chain_topology(9)
     built = []
-    real = graph.build_normalized_adjacency
-    monkeypatch.setattr(graph, "build_normalized_adjacency", lambda t: built.append(t) or real(t))
+    real = SkeletonTopology.adjacency
+    monkeypatch.setattr(SkeletonTopology, "adjacency", lambda t: built.append(t) or real(t))
     seen = []
-    monkeypatch.setattr(model, "gcn_forward", lambda adj, *a, **k: seen.append(adj) or gcn_forward(adj, *a, **k))
+
+    def spy(w, h, t, **kw):
+        seen.append(t.normalized_adjacency)
+        return gcn_forward(w, h, t, **kw)
+
+    monkeypatch.setattr(model, "gcn_forward", spy)
     batch = random_batch(config, b=1)
     for _ in range(2):
         model_forward(params, config, batch, topo)
     assert built == [topo] and len(seen) == 6
-    assert all(adj is topo.normalized_adjacency for adj in seen)
-    assert not topo.normalized_adjacency.data.flags.writeable
-    assert topo.normalized_adjacency.data.tobytes() == real(chain_topology(9)).data.tobytes()
+    assert all(adj is seen[0] for adj in seen)
+    assert isinstance(seen[0], np.ndarray) and not seen[0].flags.writeable
+    assert np.allclose(seen[0], oracles.normalized_adjacency_ref(9, topo.edges), atol=1e-14)
 
 
 def test_desk_step_gradients_bitwise_match_zero_fill_reference():

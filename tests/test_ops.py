@@ -45,6 +45,18 @@ def test_binary_ops_reject_broadcasting(rng):
         ops.add(rand(rng, (3, 4)), rand(rng, (4,)))
     with pytest.raises(ShapeError):
         ops.mul(rand(rng, (3, 1)), rand(rng, (3, 4)))
+    for op in (ops.add, ops.sub, ops.mul):  # operands numpy cannot broadcast either
+        with pytest.raises(ShapeError, match=rf"{op.__name__} requires identical shapes, got \[3, 4\] vs \[2, 4\]"):
+            op(rand(rng, (3, 4)), rand(rng, (2, 4)))
+
+
+def test_binary_ops_record_under_their_own_names(rng):
+    a, b = rand(rng, (2, 3)), rand(rng, (2, 3))
+    with Tape() as tape:
+        outs = [ops.add(a, b), ops.sub(a, b), ops.mul(a, b)]
+    assert [rec.op for rec in tape.records] == ["add", "sub", "mul"]
+    for out, want in zip(outs, (a.data + b.data, a.data - b.data, a.data * b.data)):
+        assert np.array_equal(out.data, want)
 
 
 def test_add_bias_broadcasts_over_leading_axes(rng):
@@ -113,8 +125,9 @@ def test_branchless_activations_match_where_forms_bit_for_bit(tag):
 
 
 def test_elementwise_unknown_tag(rng):
-    with pytest.raises(ValueError, match="unknown elementwise tag"):
-        ops.elementwise("swish", rand(rng, (2,)))
+    for tag in ("swish", "add", "sub", "mul"):  # the binary ops are not activations
+        with pytest.raises(ValueError, match=f"unknown elementwise tag '{tag}'"):
+            ops.elementwise(tag, rand(rng, (2,)))
 
 
 def test_index_and_slice_axis(rng):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from skelgru import ops
 from skelgru.cells import GRUCellParams, gru_sequence
-from skelgru.graph import GATLayerParams, build_normalized_adjacency, chain_topology, gat_forward, gcn_forward
+from skelgru.graph import GATLayerParams, chain_topology, gat_forward, gcn_forward
 from skelgru.model import temporal_attention_pool
 from skelgru.tensor import (
     MaskError,
@@ -51,7 +51,7 @@ HAND_OFF = {
     "linear": lambda p, x: ops.linear(x, p(4, 2), p(2)),
     "residual_norm": lambda p, x: ops.residual_norm(p(3, 4, 4), x, p(4), p(4), 1e-5),
     "gru_sequence": lambda p, x: gru_sequence(GRUCellParams(*(p(*s) for s in [(4, 8), (4,)] * 3)), x, p(4, 4)),
-    "gcn_layer": lambda p, x: gcn_forward(build_normalized_adjacency(chain_topology(4)), x, p(4, 4)),
+    "gcn_layer": lambda p, x: gcn_forward(p(4, 4), x, chain_topology(4)),
     "gat_layer": lambda p, x: gat_forward(GATLayerParams(2, [p(4, 2), p(4, 2)], [p(4), p(4)]), x,
                                           chain_topology(4)),
     "attention_pool": lambda p, x: temporal_attention_pool(p(16), p(1), p(2, 3, 4, 4), np.ones((2, 3), bool)),
@@ -240,8 +240,8 @@ def test_fused_backward_never_writes_its_incoming_gradient(op):
                              [p(2 * h // heads) for _ in range(heads)])
         build = lambda: gat_forward(gat, x, chain_topology(n))  # noqa: E731
     elif op == "gcn_layer":
-        adj, w = build_normalized_adjacency(chain_topology(n)), p(h, h)
-        build = lambda: gcn_forward(adj, x, w, act="elu")  # noqa: E731
+        w = p(h, h)
+        build = lambda: gcn_forward(w, x, chain_topology(n), act="elu")  # noqa: E731
     elif op == "residual_norm":
         block, gain, bias = p(t_len, n, h), p(h), p(h)
         build = lambda: ops.residual_norm(block, x, gain, bias, 1e-5)  # noqa: E731

@@ -332,16 +332,21 @@ class TestReportFormat:
         conf = np.array([[3, 1, 0], [0, 4, 1], [2, 0, 5]])
         return EvalReport(conf)
 
-    def test_class_order(self):
-        lines = format_eval_report(self.report()).splitlines()
+    def test_ascending_order(self):
+        lines = format_eval_report(self.report(), descending=False).splitlines()
         assert lines[0] == "accuracy 0.750000"
         assert lines[1] == "class precision recall f1 support"
-        assert [l.split()[0] for l in lines[2:5]] == ["0", "1", "2"]
+        assert [l.split()[0] for l in lines[2:5]] == ["0", "2", "1"]
+        tied = format_eval_report(EvalReport(np.eye(2, dtype=int)), descending=False).splitlines()
+        assert [l.split()[0] for l in tied[2:4]] == ["0", "1"]  # equal f1: class index breaks the tie
 
     def test_f1_sort_descending(self):
-        lines = format_eval_report(self.report(), sort="f1").splitlines()
+        lines = format_eval_report(self.report()).splitlines()
         f1s = [float(l.split()[3]) for l in lines[2:5]]
         assert f1s == sorted(f1s, reverse=True)
+        assert [l.split()[0] for l in lines[2:5]] == ["1", "2", "0"]
+        tied = format_eval_report(EvalReport(np.eye(2, dtype=int))).splitlines()
+        assert [l.split()[0] for l in tied[2:4]] == ["0", "1"]
 
     def test_zero_division_star(self):
         conf = np.array([[0, 0], [0, 3]])
@@ -349,10 +354,6 @@ class TestReportFormat:
         text = format_eval_report(report)
         assert "0 0.000000 0.000000 0.000000 0 *" in text
         assert "zero-denominator" in text
-
-    def test_bad_sort_key(self):
-        with pytest.raises(ValueError, match="sort"):
-            format_eval_report(self.report(), sort="recall")
 
 
 def small_setup(classes=2, per_class=6, dropout=0.0, seed=0):
