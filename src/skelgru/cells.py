@@ -208,9 +208,10 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     only the output states and each step's z, r and candidate activations,
     written over its projection; untaped, every step reuses one gate slot.
     Backward writes each step's gate gradients over its spent z, r and h~,
-    reads the previous states from the saved output and sums each weight
-    gradient one step's product at a time, so it adds one [T, h, R] stream
-    of r * h_prev, the input gradient it returns and [h, R] buffers.
+    reads the previous states from the saved output and multiplies each
+    step's r * h_prev, made in one [h, R] buffer, into its d_w_hh term in the
+    loop. It sums each weight gradient in step order, so it adds the input
+    gradient it returns, the [T, h, h] terms and [h, R] buffers.
     """
     if inputs.ndim < 2 or inputs.shape[0] < 1:
         raise ShapeError(f"gru_sequence expects [T, ..., d] inputs, got {list(inputs.shape)}")
@@ -259,18 +260,19 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     def back(grad):
         grad_fm = grad.reshape(states.shape).transpose(0, 2, 1)
         h_prevs = [h_init, *states[:-1].transpose(0, 2, 1)]  # feature-major views
-        rh = np.empty((t_len, h, rows))  # r * h_prev of every step, for d_w_hh
+        d_whh_terms = np.empty((t_len, h, h))  # each step's d_w_hh product, summed in step order
         dh = np.zeros_like(h_init)
-        dq, tmp, up = np.empty_like(h_init), np.empty_like(h_init), np.empty_like(h_init)
+        dq, tmp, up, rh = (np.empty_like(h_init) for _ in range(4))
         for t, h_prev in reversed(list(enumerate(h_prevs))):
             # each gate's gradient overwrites its spent activation: the local
             # factor z(1-z), r(1-r) or 1-h~^2 times the step's upstream term
             z, r, cand = gates[t, :h], gates[t, h:2 * h], gates[t, 2 * h:]
-            np.multiply(r, h_prev, out=rh[t])
+            np.multiply(r, h_prev, out=rh)
             dh += grad_fm[t]
             np.multiply(np.subtract(cand, h_prev, out=up), dh, out=up)  # dz's upstream term
             np.subtract(1.0, np.multiply(cand, cand, out=cand), out=cand)
             cand *= np.multiply(dh, z, out=tmp)
+            np.matmul(cand, rh.T, out=d_whh_terms[t])
             np.matmul(w_hh.T, cand, out=dq)
             dh *= np.subtract(1.0, z, out=tmp)
             z *= tmp
@@ -286,7 +288,7 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
         d_b = d_gates.sum(axis=(0, 2))
         # the previous states, row-major [R, h], are the saved output itself
         d_wzr = ops.sum_of_products(zip(d_gates[:, :2 * h], [h_init.T, *states[:-1]]))
-        d_whh = ops.sum_of_products(zip(d_gates[:, 2 * h:], rh.transpose(0, 2, 1)))
+        d_whh = d_whh_terms.sum(axis=0)
         d_w = [np.concatenate((rec, d_wx[k * h:(k + 1) * h]), axis=1)
                for k, rec in enumerate((d_wzr[:h], d_wzr[h:], d_whh))]
         d_h0 = np.ascontiguousarray(dh.T).reshape(h0.shape)

@@ -76,6 +76,14 @@ def cmd_synth(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _prepared(path, topo, model_config, cfg: dict, class_count: int | None = None):
+    """Ingest and preprocess one dataset file; one with no samples is a data error."""
+    manifest = ingest(path, topo, class_count=class_count)
+    if len(manifest) == 0:
+        raise DataFormatError(f"{path}: no samples")
+    return prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
+
+
 def _load_params(cfg: dict, model_config, topo):
     init_path = cfg["train.init_checkpoint"]
     if init_path:
@@ -92,10 +100,8 @@ def cmd_train(cfg: dict, args) -> int:
     topo = resolve_topology(cfg["data.topology"])
     model_config = model_config_from(cfg, topo.n_nodes)
     data_dir = Path(cfg["data.dir"])
-    splits = {}
-    for tag in ("train", "val"):
-        manifest = ingest(data_dir / f"{tag}.jsonl", topo, class_count=model_config.classes)
-        splits[tag] = prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
+    splits = {tag: _prepared(data_dir / f"{tag}.jsonl", topo, model_config, cfg, model_config.classes)
+              for tag in ("train", "val")}
     params = _load_params(cfg, model_config, topo)
     state = adamw_state_from(cfg, named_parameters(params))
     plan = train_plan_from(cfg)
@@ -130,10 +136,8 @@ def _load_for_inference(cfg: dict, checkpoint_arg: str | None):
 
 def cmd_eval(cfg: dict, args) -> int:
     topo, params, model_config = _load_for_inference(cfg, args.checkpoint)
-    manifest = ingest(
-        Path(cfg["data.dir"]) / f"{args.split}.jsonl", topo, class_count=model_config.classes
-    )
-    prepared = prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
+    prepared = _prepared(Path(cfg["data.dir"]) / f"{args.split}.jsonl", topo, model_config, cfg,
+                         model_config.classes)
     report = evaluate(params, model_config, topo, prepared, batch_size=cfg["train.batch_size"])
     text = format_eval_report(report, descending=args.sort == "desc")
     out_path = Path(args.out) if args.out else Path(cfg["out.dir"]) / f"eval_{args.split}.txt"
@@ -146,10 +150,7 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_predict(cfg: dict, args) -> int:
     topo, params, model_config = _load_for_inference(cfg, args.checkpoint)
-    manifest = ingest(args.input, topo)
-    if len(manifest) == 0:
-        raise DataFormatError(f"{args.input}: no samples to predict")
-    prepared = prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
+    prepared = _prepared(args.input, topo, model_config, cfg)
     logits = eval_logits(
         params, model_config, topo, prepared, batch_size=cfg["train.batch_size"]
     )

@@ -12,10 +12,11 @@ output and recomputes the cheap adj @ h product in backward. The
 attention layer (Velickovic et al. 2018, arXiv 1710.10903) projects all
 heads in one matmul and scores them in one block-diagonal matmul,
 feature-major with the frames last, over a padded table of each node's
-closed neighborhood; it keeps the attention weights and its output, and
-its backward repeats the projection rather than keep it. Each layer
-reads its table from the topology, which builds it once: the
-convolution's propagation table and the padded neighborhoods.
+closed neighborhood; it too keeps only its output, and its backward
+repeats the projection and the attention weights rather than keep them
+(Chen et al. 2016, arXiv 1604.06174). Each layer reads its table from
+the topology, which builds it once: the convolution's propagation table
+and the padded neighborhoods.
 """
 
 from __future__ import annotations
@@ -284,19 +285,19 @@ def gat_coefficients(params: GATLayerParams, head: int, h: Tensor, topo: Skeleto
 def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: str = "elu") -> Tensor:
     """Per head, each node becomes the attention-weighted sum of projected
     closed-neighborhood features; heads are concatenated, then activated.
-    Records one tape op over (h, w_0..w_{K-1}, a_0..a_{K-1}); its backward
-    keeps alpha, the mask of positive pair scores and the output, which
-    gives the activation's derivative, but no projection P, which backward
-    rebuilds with the forward's own matmul and so with the same bits, and no
-    pre-activation. With no tape, or nothing tracked, it keeps no
-    intermediates and returns the same bits. The softmax and activation run
-    in place. Backward adds P and the gradients of the output and of P, with
-    the output's gradient in two layouts for a moment: four streams at most.
+    Records one tape op over (h, w_0..w_{K-1}, a_0..a_{K-1}) that keeps only
+    its output, which gives the activation's derivative, as the GCN record
+    does. Backward rebuilds the projection P, alpha and the mask of positive
+    pair scores with the forward's own calls, and so with the same bits.
+    Taped or not, it returns the same bits. The softmax and activation run
+    in place. Backward adds the rebuilt P, alpha and mask and the gradients
+    of the output, of alpha and of P, with the output's gradient in two
+    layouts for a moment: four streams at most.
     """
     if act not in ops.UNARY:
         raise ValueError(f"unknown activation {act!r}; known: {sorted(ops.UNARY)}")
     fn, dfn = ops.UNARY[act]
-    w_cat, scorer, ht, p, alpha, pos = _attend(params, h, topo)
+    p, alpha, pos = _attend(params, h, topo)[3:]
     nbr, pad = topo.neighbor_slots
     (n, kd, m), k = p.shape, params.heads
     p4 = p.reshape(n, k, -1, m)
@@ -309,9 +310,7 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
         z[v] += np.multiply(alpha[v, j, :, None], p4[u], out=slab)
     ins = (h, *params.w, *params.a)
     tape = tape_for(ins)
-    del p, p4  # backward rebuilds P
-    if tape is None:
-        del alpha, pos
+    del p, p4, alpha, pos  # backward rebuilds them
     x = np.ascontiguousarray(z.reshape(n, kd, m).transpose(2, 0, 1))  # [M, N, K*d]
     del z
     out = Tensor(fn(x, out=x).reshape(h.shape[:-1] + (kd,)))
@@ -319,7 +318,8 @@ def gat_forward(params: GATLayerParams, h: Tensor, topo: SkeletonTopology, act: 
         return out
 
     def back(grad):
-        p = np.matmul(w_cat.T, ht)  # the forward's call, so the same bits
+        # the forward's own calls, so alpha, the mask and P have its bits
+        w_cat, scorer, ht, p, alpha, pos = _attend(params, h, topo)
         p4 = p.reshape(n, k, -1, m)
         dx = dfn(out.data.reshape(m, n, kd))
         dx *= grad.reshape(m, n, kd)

@@ -256,12 +256,16 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit("softmax_rows", (x,), y, back)
 
 
+_NORM_BLOCK = 512  # rows per block of the norm's backward; a multiple of 64 keeps the gemv's bits
+
+
 def residual_norm(block: Tensor, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """LN(block + x) over the last axis, then gain and bias, as one record that
     saves only the row means and 1/sigma, two [rows, 1] columns (Ba et al.
     2016, arXiv 1607.06450). Its backward rebuilds x-hat from ``block`` and
     ``x``, which the tape holds anyway, with the forward's own calls, and
-    returns one gradient for both."""
+    turns that buffer into the input gradient one block of rows at a time,
+    so it adds one stream; it returns that one gradient for both."""
     h = x.shape[-1]
     if block.shape != x.shape or gain.shape != (h,) or bias.shape != (h,):
         raise ShapeError(f"residual_norm: block {list(block.shape)}, input {list(x.shape)}, "
@@ -282,14 +286,15 @@ def residual_norm(block: Tensor, x: Tensor, gain: Tensor, bias: Tensor, eps: flo
         rows = (bd + xd).reshape(-1, h)  # x-hat, rebuilt with the forward's calls
         rows -= means
         rows *= inv
-        dx = g * gd  # the gradient of x-hat
         d_gain = np.einsum("ij,ij->j", g, rows)
-        # x-hat is spent: its buffer takes the correction term
-        rows *= (np.einsum("ij,ij->i", dx, rows) / h)[:, None]
-        rows += (dx @ mean_w)[:, None]
-        dx -= rows
-        dx *= inv
-        return dx.reshape(xd.shape), dx.reshape(xd.shape), d_gain, g.sum(axis=0)
+        dx = np.empty_like(g[:_NORM_BLOCK])  # one block of the gradient of x-hat, g * gain
+        for lo in range(0, len(rows), _NORM_BLOCK):  # x-hat becomes the input gradient
+            sl = slice(lo, lo + _NORM_BLOCK)
+            r, d = rows[sl], np.multiply(g[sl], gd, out=dx[:len(rows) - lo])
+            r *= (np.einsum("ij,ij->i", d, r) / h)[:, None]
+            r += (d @ mean_w)[:, None]
+            np.multiply(np.subtract(d, r, out=r), inv[sl], out=r)
+        return rows.reshape(xd.shape), rows.reshape(xd.shape), d_gain, g.sum(axis=0)
 
     return _emit("residual_norm", (block, x, gain, bias), y, back)
 

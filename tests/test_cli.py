@@ -110,6 +110,16 @@ class TestTrain:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run("train", *tiny_overrides(tmp_path)) == EXIT_DATA
 
+    def test_empty_val_split_is_data_error_naming_its_file(self, tmp_path, capsys):
+        args = tiny_overrides(tmp_path, **{"synth.samples_per_class": 1})
+        with pytest.warns(UserWarning, match="without stratification"):
+            assert run("synth", *args) == EXIT_OK
+        assert (tmp_path / "data/val.jsonl").read_text() == ""
+        with pytest.warns(UserWarning, match="no records"):
+            assert run("train", *args) == EXIT_DATA
+        assert f"data error: {tmp_path / 'data' / 'val.jsonl'}: no samples" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_model_shape_is_config_error(self, tmp_path):
         args = tiny_overrides(tmp_path, **{"model.stages": 0})
         assert run("synth", *args) == EXIT_OK

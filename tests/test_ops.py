@@ -201,10 +201,12 @@ def test_residual_norm_without_tape_records_nothing_and_keeps_bits(rng):
 @pytest.mark.parametrize("shape", [(3, 4), (32, 32, 9, 32), (32, 4, 17, 64)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_residual_norm_matches_saving_xhat_oracle_bit_for_bit(rng, shape, transposed):
-    """The record that rebuilds x-hat in backward gives the output and the
+    """The record that rebuilds x-hat in backward, and turns it into the
+    input gradient one block of rows at a time, gives the output and the
     four gradients of the one that saved it (a desk and a deep stage's
-    shapes among them), also for an incoming gradient with its first two
-    axes swapped, the view ``attention_pool`` hands the last stage."""
+    shapes among them). It does so also for an incoming gradient that is a
+    view with its first two axes swapped, which the norm copies row-major
+    first; ``attention_pool`` hands the last stage a C-contiguous one."""
     h = shape[-1]
     block, x, gain, bias = rand(rng, shape), rand(rng, shape, scale=3.0), rand(rng, (h,)), rand(rng, (h,))
     if transposed:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import adamw_step_ref
+from skelgru.config import load_run_config, model_config_from, synth_spec_from
 from skelgru.data import PreparedSplit, SynthSpec, prepare_split, split, synthesize
 from skelgru.graph import chain_topology
 from skelgru.model import (
@@ -397,6 +398,23 @@ class TestEvaluate:
         full = eval_logits(params, config, topo, tr, batch_size=64)
         chunked = eval_logits(params, config, topo, tr, batch_size=1)
         assert np.allclose(full, chunked, atol=1e-12)
+
+    def test_desk_logits_depend_on_the_batch_in_their_last_bits_only(self):
+        """The BLAS kernels can give one sample's logits different last bits
+        with the batch it lands in, so ``predict`` probabilities can too;
+        on 64 desk samples at batch sizes 1, 7 and 64 they agree within
+        1e-13 of the logits' scale and pick the same class."""
+        cfg = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.cfg")
+        topo = chain_topology(9)
+        config = model_config_from(cfg, topo.n_nodes)
+        whole = prepare_split(synthesize(synth_spec_from(cfg)), config.seq_len)
+        desk = PreparedSplit(whole.features[:64], whole.mask[:64], whole.labels[:64])
+        params = init_model_params(config, seed=0)
+        want = eval_logits(params, config, topo, desk, batch_size=64)
+        for batch_size in (1, 7):
+            got = eval_logits(params, config, topo, desk, batch_size=batch_size)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
     def test_empty_split_rejected(self):
         config, topo, tr, *_ = small_setup()
