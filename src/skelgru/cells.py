@@ -7,7 +7,7 @@ with [R, d]; the stacked form is what the model uses to run every
 (sample, node) pair in one call. ``CellParams``, the three parameter
 sets' shared base, checks every gate's shapes. The steps record op by op
 and serve as references; only the GRU runs along a sequence, through
-``unroll``.
+``gru_sequence``, which ``unroll`` starts from a zero state.
 
 The update convention for the GRU is h = (1-z) * h_prev + z * h_new,
 with z gating the candidate (some libraries swap the two terms).
@@ -108,13 +108,6 @@ class GRUCellParams(CellParams):
     @property
     def gates(self):
         return ((self.w_z, self.b_z), (self.w_r, self.b_r), (self.w_h, self.b_h))
-
-
-@dataclass
-class HiddenState:
-    """The initial state ``unroll`` starts a GRU sequence from."""
-
-    h: Tensor
 
 
 def _as_rows(t: Tensor) -> tuple[Tensor, bool]:
@@ -298,12 +291,8 @@ def gru_sequence(p: GRUCellParams, inputs: Tensor, h0: Tensor) -> Tensor:
     return out
 
 
-def unroll(kind: str, params: GRUCellParams, inputs: Tensor, h0: HiddenState | None = None) -> Tensor:
-    """Run the GRU, the only ``kind`` run along a sequence, over axis 0 of
-    ``inputs`` [T, ..., d] from ``h0`` [..., h], zeros by default, as the
-    one record of :func:`gru_sequence`, which checks the shapes."""
-    if kind != "gru":
-        raise ValueError(f"unknown cell kind {kind!r}; known: ['gru']")
-    if h0 is None:
-        h0 = HiddenState(Tensor(np.zeros(inputs.shape[1:-1] + (params.hidden_size,))))
-    return gru_sequence(params, inputs, h0.h)
+def unroll(params: GRUCellParams, inputs: Tensor) -> Tensor:
+    """Run the GRU over axis 0 of ``inputs`` [T, ..., d] from a zero state
+    [..., h], as the one record of :func:`gru_sequence`, which checks the
+    shapes."""
+    return gru_sequence(params, inputs, Tensor(np.zeros(inputs.shape[1:-1] + (params.hidden_size,))))

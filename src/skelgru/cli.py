@@ -77,10 +77,8 @@ def cmd_synth(cfg: dict, args) -> int:
 
 
 def _prepared(path, topo, model_config, cfg: dict, class_count: int | None = None):
-    """Ingest and preprocess one dataset file; one with no samples is a data error."""
+    """Ingest and preprocess one dataset file."""
     manifest = ingest(path, topo, class_count=class_count)
-    if len(manifest) == 0:
-        raise DataFormatError(f"{path}: no samples")
     return prepare_split(manifest, model_config.seq_len, cfg["data.normalize"])
 
 

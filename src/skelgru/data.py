@@ -121,7 +121,8 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
     """Read a line-delimited dataset, validating against the topology.
 
     class_count defaults to max(label)+1 over the file; pass it explicitly
-    when the file may not mention every class.
+    when the file may not mention every class. A file with no records is
+    a DataFormatError.
     """
     samples, ids = [], set()
     try:
@@ -163,8 +164,7 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not samples:
-        warnings.warn(f"{path}: no records found", stacklevel=2)
-        return DatasetManifest([], class_count if class_count else 1)
+        raise DataFormatError(f"{path}: no samples")
     return DatasetManifest(samples, class_count if class_count else max(s.label for s in samples) + 1)
 
 
@@ -331,7 +331,8 @@ def split(
 
     Sizes use floor for val and test with the remainder going to train.
     Stratified per label when every class has at least 3 samples;
-    otherwise falls back to one unstratified shuffle with a warning.
+    otherwise falls back to one unstratified shuffle with a warning. A
+    split that would leave any part empty raises ValueError.
     """
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ValueError(f"fractions must be three positive numbers, got {fractions}")
@@ -362,6 +363,8 @@ def split(
         parts[2].extend(idx[n_train + n_val:])
     out = []
     for tag, chosen in zip(("train", "val", "test"), parts):
+        if not chosen:
+            raise ValueError(f"the {tag} split of {len(manifest)} samples at fractions {fractions} would be empty")
         chosen = sorted(chosen)  # file order within each split
         out.append(DatasetManifest([manifest.samples[i] for i in chosen],
                                    manifest.class_count, split_tag=tag))

@@ -158,8 +158,8 @@ def _primitive_table(seed: int) -> list[tuple[str, Callable[[], Tensor], Tensor]
         *rows("gcn_layer", lambda: weighted(gcn_forward(gcn_w, gcn_h, star, act="elu"), gcn_weights),
               h=gcn_h, w=gcn_w),
         *rows("linear", lambda: weighted(ops.linear(lin_x, lin_w, lin_b), lin_weights), x=lin_x, w=lin_w),
-        *rows("attention_pool", lambda: weighted(temporal_attention_pool(
-            attn_w, attn_b, pool_h, pool_mask, time_major=True), pool_weights), h=pool_h, w=attn_w),
+        *rows("attention_pool", lambda: weighted(temporal_attention_pool(attn_w, attn_b, pool_h, pool_mask),
+                                                  pool_weights), h=pool_h, w=attn_w),
     ]
 
 

@@ -229,7 +229,7 @@ def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> T
     else:
         spatial = gat_forward(stage.gnn, h_in, topo, act="elu")
     assert spatial.shape == h_in.shape
-    return unroll("gru", stage.gru, spatial)
+    return unroll(stage.gru, spatial)
 
 
 def residual_norm_stage(stage: StageParams, h_in: Tensor, topo: SkeletonTopology, eps: float) -> Tensor:
@@ -239,24 +239,22 @@ def residual_norm_stage(stage: StageParams, h_in: Tensor, topo: SkeletonTopology
 
 
 def _frames_and_weights(
-    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray, time_major: bool
+    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of ``h_final`` ([B, T, N, H], or [T, B, N, H] when
-    ``time_major``) as a [B, T, N*H] view, never a copy, and their attention
-    weights alpha [B, T]: a softmax over unmasked frames only. It makes the
-    numpy calls of the per-op chain (score matmul, bias, mask add, softmax)."""
+    """The frames of the stream ``h_final`` [T, B, N, H] as a [B, T, N*H]
+    view, never a copy, and their attention weights alpha [B, T]: a softmax
+    over unmasked frames only. It makes the numpy calls of the per-op chain
+    (score matmul, bias, mask add, softmax)."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise MaskError(f"sample {bad} has no unmasked frames")
-    lead, (n, h) = h_final.shape[:2], h_final.shape[2:]
-    b, t = lead[::-1] if time_major else lead
+    t, b, n, h = h_final.shape
     if attn_w.shape != (n * h,):
         raise ShapeError(f"attention weights {list(attn_w.shape)} do not match frame width {n * h}")
     if mask.shape != (b, t):
         raise ShapeError(f"mask {list(mask.shape)} does not match frames [{b},{t}]")
-    frames = h_final.data.reshape(*lead, n * h)
-    frames = frames.transpose(1, 0, 2) if time_major else frames
+    frames = h_final.data.reshape(t, b, n * h).transpose(1, 0, 2)
     scores = np.matmul(frames, attn_w.data.reshape(n * h, 1)) + attn_b.data
     masked = scores.reshape(b, t) + np.where(mask, 0.0, -np.inf)
     e = np.exp(masked - masked.max(axis=-1, keepdims=True))
@@ -266,16 +264,16 @@ def _frames_and_weights(
 def temporal_attention_weights(
     attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
 ) -> Tensor:
-    """Per-frame attention weights [B, T] of ``h_final`` [B, T, N, H], untaped:
-    softmax over unmasked frames only."""
-    return Tensor(_frames_and_weights(attn_w, attn_b, h_final, mask, time_major=False)[1])
+    """Per-frame attention weights [B, T] of the stream ``h_final`` [T, B, N, H],
+    untaped: softmax over unmasked frames only."""
+    return Tensor(_frames_and_weights(attn_w, attn_b, h_final, mask)[1])
 
 
 def temporal_attention_pool(
-    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray, *, time_major: bool = False
+    attn_w: Tensor, attn_b: Tensor, h_final: Tensor, mask: np.ndarray
 ) -> Tensor:
-    """Attention-weighted sum of the N*H-flattened frames of ``h_final``, [B, T, N, H]
-    or, with ``time_major``, [T, B, N, H]; masked frames get exactly zero weight.
+    """Attention-weighted sum of the N*H-flattened frames of the stream
+    ``h_final`` [T, B, N, H]; masked frames get exactly zero weight.
 
     One ``attention_pool`` record over (h_final, attn_w, attn_b) that keeps
     alpha and reads the frames through a view, so no copy of the stream is
@@ -285,7 +283,7 @@ def temporal_attention_pool(
     straight into a C-contiguous array in ``h_final``'s own layout; besides
     that array it adds one sample's [T, N*H] slab.
     """
-    frames, alpha = _frames_and_weights(attn_w, attn_b, h_final, mask, time_major)
+    frames, alpha = _frames_and_weights(attn_w, attn_b, h_final, mask)
     b, t, width = frames.shape
     alpha3 = alpha.reshape(b, 1, t)
     out = Tensor(np.matmul(alpha3, frames).reshape(b, width))
@@ -300,8 +298,7 @@ def temporal_attention_pool(
         d_alpha = np.matmul(g, np.swapaxes(frames, -1, -2)).reshape(b, t)
         # the chain's k=1 matmuls, written into h_final's layout a sample at a time
         d_h = np.empty(h_final.shape)
-        d_frames = d_h.reshape(*h_final.shape[:2], width)
-        d_frames = d_frames.transpose(1, 0, 2) if time_major else d_frames
+        d_frames = d_h.reshape(t, b, width).transpose(1, 0, 2)
         np.matmul(np.swapaxes(alpha3, -1, -2), g, out=d_frames)
         d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
         d_scores = d_scores.reshape(b, t, 1)
@@ -356,7 +353,7 @@ def model_forward(
     for stage in params.stages:
         h = residual_norm_stage(stage, h, topo, config.norm_epsilon)
         assert h.shape == (t, b, n, config.hidden)
-    pooled = temporal_attention_pool(params.attn_w, params.attn_b, h, batch.mask, time_major=True)
+    pooled = temporal_attention_pool(params.attn_w, params.attn_b, h, batch.mask)
     assert pooled.shape == (b, config.flat_width)
     logits = classify(params, pooled, training, rng, config.dropout_rate)
     assert logits.shape == (b, config.classes)

@@ -4,15 +4,15 @@ Every operation in :mod:`skelgru.ops` computes its result eagerly with
 numpy and, when a tape is active and an input is tracked, appends one
 record holding the local gradient rule: :func:`tape_for` finds that
 tape and :meth:`Tape.record` marks the output tracked. Replaying the
-tape in reverse is reverse-mode differentiation. The RNN and LSTM cell
-steps record op by op, and nothing runs them along a sequence. Six
-layers record one op each with a hand-written backward: a whole GRU
-sequence (:func:`skelgru.cells.gru_sequence`), a whole multi-head GAT
-layer (:func:`skelgru.graph.gat_forward`), a GCN layer
+tape in reverse is reverse-mode differentiation. The cell steps record
+op by op, and nothing runs them along a sequence. Six layers record one
+op each with a hand-written backward: a whole GRU sequence over the
+model's [T, B, N, H] stream (:func:`skelgru.cells.gru_sequence`), a
+whole multi-head GAT layer (:func:`skelgru.graph.gat_forward`), a GCN layer
 (:func:`skelgru.graph.gcn_forward`), a residual add with its layer
 norm (:func:`skelgru.ops.residual_norm`), a matmul with its bias
-(:func:`skelgru.ops.linear`) and temporal attention pooling
-(:func:`skelgru.model.temporal_attention_pool`).
+(:func:`skelgru.ops.linear`) and temporal attention pooling of that
+stream (:func:`skelgru.model.temporal_attention_pool`).
 
 :func:`backward` consumes the tape as it sweeps it: each record is freed,
 with its closure and its output's gradient, once it has run, so a step's

@@ -250,15 +250,16 @@ def embed_per_op_ref(params, batch):
     return ops.add_bias(ops.matmul(frames, params.embed_w), params.embed_b)
 
 
-def attention_pool_per_op_ref(attn_w, attn_b, h_final, mask, time_major=False):
-    """Temporal attention pooling as the per-op chain that
-    ``model.temporal_attention_pool`` recorded before it became one
-    ``attention_pool`` record: a transposed copy of a time-major stream,
-    the score matmul, bias, mask add and softmax, and the weighted matmul."""
+def attention_pool_per_op_ref(attn_w, attn_b, h_final, mask):
+    """Temporal attention pooling of the [T, B, N, H] stream ``h_final`` as
+    the per-op chain that ``model.temporal_attention_pool`` recorded before
+    it became one ``attention_pool`` record: a transposed copy of the
+    stream, the score matmul, bias, mask add and softmax, and the weighted
+    matmul."""
     from skelgru import ops
     from skelgru.tensor import Tensor
 
-    h_final = ops.transpose(h_final, (1, 0, 2, 3)) if time_major else h_final
+    h_final = ops.transpose(h_final, (1, 0, 2, 3))
     b, t, n, h = h_final.shape
     flat = ops.reshape(h_final, (b, t, n * h))
     scores = ops.add_bias(ops.matmul(flat, ops.reshape(attn_w, (n * h, 1))), attn_b)

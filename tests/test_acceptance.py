@@ -16,13 +16,12 @@ import oracles
 from skelgru import cli, ops
 from skelgru.cells import (
     GRUCellParams,
-    HiddenState,
     LSTMCellParams,
     RNNCellParams,
     gru_cell_step,
+    gru_sequence,
     lstm_cell_step,
     rnn_cell_step,
-    unroll,
 )
 from skelgru.checkpoint import load_checkpoint, save_checkpoint
 from skelgru.data import (
@@ -162,7 +161,7 @@ def test_03_closed_form_anchors(capsys):
         zeros(h_size, h_size + d), zeros(h_size),
     )
     h0 = np.array([1.0, -4.0, 0.375])
-    states = unroll("gru", gru, Tensor(np.zeros((t_len, d))), HiddenState(Tensor(h0)))
+    states = gru_sequence(gru, Tensor(np.zeros((t_len, d))), Tensor(h0))
     expected = np.stack([h0 / 2.0 ** (t + 1) for t in range(t_len)])
     worst = max(worst, np.abs(states.data - expected).max())
 
@@ -183,7 +182,7 @@ def test_03_closed_form_anchors(capsys):
     for row, true_len in enumerate((6, 3, 1)):
         mask[row, :true_len] = True
     pooled = temporal_attention_pool(
-        Tensor(np.zeros(n * h)), Tensor(np.zeros(1)), h_final, mask
+        Tensor(np.zeros(n * h)), Tensor(np.zeros(1)), Tensor(h_final.data.transpose(1, 0, 2, 3)), mask
     )
     flat = h_final.data.reshape(b, t_len, n * h)
     means = np.stack([flat[i][mask[i]].mean(axis=0) for i in range(b)])
@@ -230,7 +229,8 @@ def test_04_structural_invariants(capsys):
         mask[row, :true_len] = True
 
     h_final = Tensor(rng.normal(size=(b, t_len, config.n_nodes, config.hidden)))
-    alpha = temporal_attention_weights(params.attn_w, params.attn_b, h_final, mask).data
+    alpha = temporal_attention_weights(
+        params.attn_w, params.attn_b, Tensor(h_final.data.transpose(1, 0, 2, 3)), mask).data
     rows_ok = np.abs(alpha.sum(axis=1) - 1.0).max() <= 1e-12
     masked_zero = np.all(alpha[~mask] == 0.0)
 

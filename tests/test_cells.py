@@ -11,7 +11,6 @@ import oracles
 from skelgru import ops
 from skelgru.cells import (
     GRUCellParams,
-    HiddenState,
     LSTMCellParams,
     RNNCellParams,
     dense_forward,
@@ -294,7 +293,7 @@ def test_lstm_ranges(seed):
 def test_unroll_single_step_equals_cell_step(rng):
     p = rand_gru(rng, 3, 2)
     x = rand(rng, (1, 2))
-    states = unroll("gru", p, x)
+    states = unroll(p, x)
     direct = gru_cell_step(p, Tensor(np.zeros(3)), Tensor(x.data[0]))
     assert np.allclose(states.data[0], direct.data, atol=1e-15)
 
@@ -302,26 +301,22 @@ def test_unroll_single_step_equals_cell_step(rng):
 def test_unroll_zero_gru_halves_every_step(rng):
     p = zero_gru(3, 2)
     v = np.array([8.0, -16.0, 4.0])
-    states = unroll("gru", p, rand(rng, (5, 2)), HiddenState(Tensor(v)))
+    states = gru_sequence(p, rand(rng, (5, 2)), Tensor(v))
     for t in range(5):
         assert np.allclose(states.data[t], v / 2.0 ** (t + 1), atol=1e-15)
 
 
-def test_unroll_all_kinds_and_shapes(rng):
-    """Only the GRU runs along a sequence; the RNN and LSTM steps do not."""
+def test_unroll_shapes(rng):
     t_len, rows, d, h_size = 4, 3, 2, 5
     p = rand_gru(rng, h_size, d)
-    assert unroll("gru", p, rand(rng, (t_len, rows, d))).shape == (t_len, rows, h_size)
-    assert unroll("gru", p, rand(rng, (t_len, d))).shape == (t_len, h_size)
-    for kind, params in (("rnn", rand_rnn(rng, h_size, d)), ("lstm", rand_lstm(rng, h_size, d))):
-        with pytest.raises(ValueError, match="unknown cell kind"):
-            unroll(kind, params, rand(rng, (t_len, rows, d)))
+    assert unroll(p, rand(rng, (t_len, rows, d))).shape == (t_len, rows, h_size)
+    assert unroll(p, rand(rng, (t_len, d))).shape == (t_len, h_size)
 
 
 def test_unroll_matches_manual_loop(rng):
     p = rand_gru(rng, 4, 3)
     xs = rand(rng, (6, 3))
-    states = unroll("gru", p, xs).data
+    states = unroll(p, xs).data
     h = Tensor(np.zeros(4))
     for t in range(6):
         h = gru_cell_step(p, h, Tensor(xs.data[t]))
@@ -331,13 +326,11 @@ def test_unroll_matches_manual_loop(rng):
 def test_unroll_validates(rng):
     p = rand_gru(rng, 3, 2)
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand(rng, (0, 2)))
+        unroll(p, rand(rng, (0, 2)))
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand(rng, (4,)))
-    with pytest.raises(ValueError, match="unknown cell kind"):
-        unroll("bilstm", p, rand(rng, (4, 2)))
+        unroll(p, rand(rng, (4,)))
     with pytest.raises(ShapeError):
-        unroll("gru", p, rand(rng, (4, 2)), HiddenState(Tensor(np.zeros(4))))
+        gru_sequence(p, rand(rng, (4, 2)), Tensor(np.zeros(4)))
 
 
 def test_zero_state_shapes(rng):
@@ -346,7 +339,7 @@ def test_zero_state_shapes(rng):
     for shape in ((3, 2), (3, 5, 2)):
         xs = rand(rng, shape)
         h0 = Tensor(np.zeros(shape[1:-1] + (4,)))
-        assert np.array_equal(unroll("gru", p, xs).data, gru_sequence(p, xs, h0).data)
+        assert np.array_equal(unroll(p, xs).data, gru_sequence(p, xs, h0).data)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +373,7 @@ def test_bptt_gradient_wrt_first_input_20_steps(rng):
     xs = rand(rng, (20, 2), grad=True)
 
     def f():
-        states = unroll("gru", p, xs)
+        states = unroll(p, xs)
         return ops.sum_all(ops.slice_axis(states, 0, 19, 20))
 
     assert finite_diff_check(f, xs) <= 1e-4
@@ -394,7 +387,7 @@ def test_bptt_gradient_wrt_params_all_kinds(rng):
         ("gru", rand_gru(rng, 3, 2, grad=True), "w_h"),
     ):
         def f(kind=kind, params=params):
-            states = unroll(kind, params, xs) if kind == "gru" else _per_op_sequence(kind, params, xs)
+            states = unroll(params, xs) if kind == "gru" else _per_op_sequence(kind, params, xs)
             return ops.sum_all(states)
 
         assert finite_diff_check(f, getattr(params, leaf)) <= 1e-4, kind
@@ -404,7 +397,7 @@ def test_bptt_credit_flows_to_early_inputs(rng):
     p = rand_gru(rng, 3, 2)
     xs = rand(rng, (10, 2), grad=True)
     with Tape() as tape:
-        states = unroll("gru", p, xs)
+        states = unroll(p, xs)
         loss = ops.sum_all(ops.slice_axis(states, 0, 9, 10))
     backward(tape, loss)
     assert np.abs(xs.grad[0]).max() > 0.0

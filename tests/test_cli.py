@@ -83,6 +83,17 @@ class TestSynth:
         code = run("synth", *tiny_overrides(tmp_path, **{"synth.classes": 1}))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("ignore:some class has fewer than 3 samples")
+    @pytest.mark.parametrize("per_class", [1, 3])
+    def test_empty_split_is_config_error_writing_nothing(self, tmp_path, capsys, per_class):
+        """2 classes of 1 sample split unstratified, and of 3 stratified,
+        both give every class floor(0.15 n) = 0 val samples."""
+        data = tmp_path / "data"
+        data.mkdir()
+        assert run("synth", *tiny_overrides(tmp_path, **{"synth.samples_per_class": per_class})) == EXIT_CONFIG
+        assert f"the val split of {2 * per_class} samples" in capsys.readouterr().err
+        assert list(data.iterdir()) == []
+
 
 class TestTrain:
     def test_writes_log_checkpoint_and_config_echo(self, tmp_path, capsys):
@@ -111,12 +122,10 @@ class TestTrain:
         assert run("train", *tiny_overrides(tmp_path)) == EXIT_DATA
 
     def test_empty_val_split_is_data_error_naming_its_file(self, tmp_path, capsys):
-        args = tiny_overrides(tmp_path, **{"synth.samples_per_class": 1})
-        with pytest.warns(UserWarning, match="without stratification"):
-            assert run("synth", *args) == EXIT_OK
-        assert (tmp_path / "data/val.jsonl").read_text() == ""
-        with pytest.warns(UserWarning, match="no records"):
-            assert run("train", *args) == EXIT_DATA
+        args = tiny_overrides(tmp_path)
+        assert run("synth", *args) == EXIT_OK
+        (tmp_path / "data/val.jsonl").write_text("")
+        assert run("train", *args) == EXIT_DATA
         assert f"data error: {tmp_path / 'data' / 'val.jsonl'}: no samples" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -316,9 +325,7 @@ class TestEval:
     def test_empty_split_is_data_error(self, tmp_path):
         args = synth_and_train(tmp_path)
         (tmp_path / "data/test.jsonl").write_text("")
-        with pytest.warns(UserWarning, match="no records"):
-            code = run("eval", "--split", "test", *args)
-        assert code == EXIT_DATA
+        assert run("eval", "--split", "test", *args) == EXIT_DATA
 
 
 class TestPredict:

@@ -131,12 +131,11 @@ class TestFileFormat:
         path.write_text("\n" + json.dumps(rec) + "\n\n")
         assert len(ingest(path, chain_topology(2))) == 1
 
-    def test_empty_file_warns_and_returns_empty(self, tmp_path):
+    def test_empty_file_is_data_error(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        path.write_text("")
-        with pytest.warns(UserWarning, match="no records"):
-            m = ingest(path, chain_topology(2))
-        assert len(m) == 0
+        path.write_text("\n\n")
+        with pytest.raises(DataFormatError, match="data.jsonl: no samples"):
+            ingest(path, chain_topology(2))
 
     def test_class_count_inferred_from_max_label(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -354,3 +353,5 @@ class TestSplit:
             split(m, (0.8, 0.2, 0.0))
         with pytest.raises(ValueError, match="sum to 1"):
             split(m, (0.7, 0.2, 0.2))
+        with pytest.raises(ValueError, match="the test split of 10 samples .* would be empty"):
+            split(m, (0.6, 0.3, 0.1))

@@ -46,6 +46,11 @@ def full_mask(b, t):
     return np.ones((b, t), dtype=bool)
 
 
+def stream(x):
+    """The [T, B, N, H] stream of the frames of ``x`` [B, T, N, H]: a transposed copy."""
+    return Tensor(x.data.transpose(1, 0, 2, 3))
+
+
 def random_batch(config, b=2, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(0, 1, (b, config.seq_len, config.n_nodes, config.input_dim))
@@ -296,14 +301,14 @@ def test_attention_equal_scores_is_temporal_mean(rng):
     h_final = rand(rng, (2, 5, 3, 4))
     w = Tensor(np.zeros(12), requires_grad=True)
     b = Tensor(np.zeros(1), requires_grad=True)
-    pooled = temporal_attention_pool(w, b, h_final, full_mask(2, 5)).data
+    pooled = temporal_attention_pool(w, b, stream(h_final), full_mask(2, 5)).data
     want = h_final.data.reshape(2, 5, 12).mean(axis=1)
     assert np.allclose(pooled, want, atol=1e-12)
 
 
 def test_attention_single_frame_passes_through(rng):
     h_final = rand(rng, (3, 1, 2, 4))
-    pooled = temporal_attention_pool(rand(rng, (8,)), rand(rng, (1,)), h_final, full_mask(3, 1)).data
+    pooled = temporal_attention_pool(rand(rng, (8,)), rand(rng, (1,)), stream(h_final), full_mask(3, 1)).data
     assert np.allclose(pooled, h_final.data.reshape(3, 8), atol=1e-12)
 
 
@@ -312,16 +317,16 @@ def test_attention_saturates_at_20_logit_lead():
     h_final = Tensor(np.zeros((b, t, n, h)))
     h_final.data[0, 1] = 1.0  # frame 1 gets score w . 1-vector = 20, others 0
     w = Tensor(np.full(n * h, 5.0))
-    alpha = temporal_attention_weights(w, Tensor(np.zeros(1)), h_final, full_mask(b, t)).data
+    alpha = temporal_attention_weights(w, Tensor(np.zeros(1)), stream(h_final), full_mask(b, t)).data
     assert alpha[0, 1] >= 1.0 - 1e-8
-    pooled = temporal_attention_pool(w, Tensor(np.zeros(1)), h_final, full_mask(b, t)).data
+    pooled = temporal_attention_pool(w, Tensor(np.zeros(1)), stream(h_final), full_mask(b, t)).data
     assert np.allclose(pooled[0], h_final.data[0, 1].reshape(-1), atol=1e-7)
 
 
 def test_attention_masked_frames_get_zero_weight(rng):
     h_final = rand(rng, (2, 4, 2, 3))
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
-    alpha = temporal_attention_weights(rand(rng, (6,)), rand(rng, (1,)), h_final, mask).data
+    alpha = temporal_attention_weights(rand(rng, (6,)), rand(rng, (1,)), stream(h_final), mask).data
     assert np.array_equal(alpha[~mask], np.zeros(3))
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
@@ -330,37 +335,36 @@ def test_attention_output_ignores_masked_frame_values(rng):
     w, b = rand(rng, (6,)), rand(rng, (1,))
     base = rand(rng, (1, 4, 2, 3))
     mask = np.array([[1, 1, 1, 0]], dtype=bool)
-    pooled = temporal_attention_pool(w, b, base, mask).data
+    pooled = temporal_attention_pool(w, b, stream(base), mask).data
     poked = Tensor(base.data.copy())
     poked.data[0, 3] = 1e6
-    pooled2 = temporal_attention_pool(w, b, poked, mask).data
+    pooled2 = temporal_attention_pool(w, b, stream(poked), mask).data
     assert np.array_equal(pooled, pooled2)
 
 
 def test_attention_fully_masked_sample_raises(rng):
     with pytest.raises(MaskError, match="sample 0"):
-        temporal_attention_pool(rand(rng, (6,)), rand(rng, (1,)), rand(rng, (1, 3, 2, 3)),
+        temporal_attention_pool(rand(rng, (6,)), rand(rng, (1,)), stream(rand(rng, (1, 3, 2, 3))),
                                 np.zeros((1, 3), dtype=bool))
 
 
 def test_attention_weight_width_validated(rng):
     with pytest.raises(ShapeError):
-        temporal_attention_pool(rand(rng, (5,)), rand(rng, (1,)), rand(rng, (1, 3, 2, 3)), full_mask(1, 3))
+        temporal_attention_pool(rand(rng, (5,)), rand(rng, (1,)), stream(rand(rng, (1, 3, 2, 3))), full_mask(1, 3))
 
 
-@pytest.mark.parametrize("time_major", [False, True])
-def test_attention_pool_matches_per_op_chain_bit_for_bit(time_major, rng):
+def test_attention_pool_matches_per_op_chain_bit_for_bit(rng):
     """Output and all three gradients, with padded frames, equal the per-op
-    chain's bit for bit in both layouts."""
-    h_final = rand(rng, (5, 3, 2, 3) if time_major else (3, 5, 2, 3), grad=True)
+    chain's bit for bit on the model's [T, B, N, H] stream."""
+    h_final = rand(rng, (5, 3, 2, 3), grad=True)
     w, b = rand(rng, (6,), grad=True), rand(rng, (1,), grad=True)
     mask = full_mask(3, 5)
     mask[1, -1] = mask[2, -2:] = False
     leaves = [h_final, w, b]
     want = _output_and_grads(
-        lambda: oracles.attention_pool_per_op_ref(w, b, h_final, mask, time_major), leaves)
+        lambda: oracles.attention_pool_per_op_ref(w, b, h_final, mask), leaves)
     got = _output_and_grads(
-        lambda: temporal_attention_pool(w, b, h_final, mask, time_major=time_major), leaves)
+        lambda: temporal_attention_pool(w, b, h_final, mask), leaves)
     assert got == want
 
 
@@ -368,8 +372,7 @@ def test_attention_pool_is_one_record_and_names_itself(rng):
     h_final = rand(rng, (4, 2, 2, 3), grad=True)
     h_final.data[1, 0, 1, 2] = np.nan
     with Tape() as tape:
-        pooled = temporal_attention_pool(rand(rng, (6,)), rand(rng, (1,)), h_final,
-                                         full_mask(2, 4), time_major=True)
+        pooled = temporal_attention_pool(rand(rng, (6,)), rand(rng, (1,)), h_final, full_mask(2, 4))
     assert [rec.op for rec in tape.records] == ["attention_pool"]
     assert first_invalid_record(tape) == f"attention_pool#{pooled.tid}"
 
@@ -384,7 +387,7 @@ def test_attention_pool_gradients_pass_finite_differences(rng):
     weights = rand(rng, (2, 6))
 
     def f():
-        pooled = temporal_attention_pool(w, b, h_final, mask, time_major=True)
+        pooled = temporal_attention_pool(w, b, h_final, mask)
         return ops.sum_all(ops.mul(pooled, weights))
 
     assert finite_diff_check(f, h_final) <= 1e-6
@@ -392,8 +395,8 @@ def test_attention_pool_gradients_pass_finite_differences(rng):
     assert finite_diff_check(f, b) <= 1e-6
 
 
-def test_taped_time_major_pool_makes_no_copy_of_the_stream(rng):
-    """Pooling a desk-shaped time-major stream ([T=32, B=32, chain:9, H=32])
+def test_taped_pool_makes_no_copy_of_the_stream(rng):
+    """Pooling a desk-shaped stream ([T=32, B=32, chain:9, H=32])
     on the tape holds the pooled rows and alpha, not the [B, T, N*H]
     transposed copy the per-op chain held."""
     t, b, n, h = 32, 32, 9, 32
@@ -401,12 +404,12 @@ def test_taped_time_major_pool_makes_no_copy_of_the_stream(rng):
     w, bias = rand(rng, (n * h,), grad=True), rand(rng, (1,), grad=True)
     mask = full_mask(b, t)
     mask[0, -4:] = False
-    untaped = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+    untaped = temporal_attention_pool(w, bias, h_final, mask)
     tape = Tape()
 
     def forward():
         with tape:
-            return temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+            return temporal_attention_pool(w, bias, h_final, mask)
 
     taped, held, _ = oracles.traced_streams(forward, 1)
     assert [rec.op for rec in tape.records] == ["attention_pool"]
@@ -414,10 +417,10 @@ def test_taped_time_major_pool_makes_no_copy_of_the_stream(rng):
     assert np.array_equal(taped.data, untaped.data)
 
 
-def test_time_major_pool_gradient_feeds_the_last_norm_without_a_copy(rng):
+def test_pool_gradient_feeds_the_last_norm_without_a_copy(rng):
     """On a desk-shaped stream ([T=32, B=32, chain:9, H=32]) pooling's
     backward returns the frames' gradient C-contiguous in the stream's
-    time-major layout, so the last stage's norm backward reads it in place.
+    own layout, so the last stage's norm backward reads it in place.
     It turns its rebuilt x-hat into the gradient it returns one block of
     rows at a time, so it adds that one stream, a block of g * gain and
     [rows, 1] columns: 1.09 streams. With a second full buffer for the
@@ -429,7 +432,7 @@ def test_time_major_pool_gradient_feeds_the_last_norm_without_a_copy(rng):
     mask = full_mask(32, 32)
     mask[0, -4:] = False
     with Tape() as tape:
-        pooled = temporal_attention_pool(w, bias, h_final, mask, time_major=True)
+        pooled = temporal_attention_pool(w, bias, h_final, mask)
     (pool,) = tape.records
     d_h = pool.backward_fn(rng.normal(0.0, 1.0, pooled.shape))[0]
     assert d_h.shape == shape and d_h.flags["C_CONTIGUOUS"]

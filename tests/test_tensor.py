@@ -54,7 +54,7 @@ HAND_OFF = {
     "gcn_layer": lambda p, x: gcn_forward(p(4, 4), x, chain_topology(4)),
     "gat_layer": lambda p, x: gat_forward(GATLayerParams(2, [p(4, 2), p(4, 2)], [p(4), p(4)]), x,
                                           chain_topology(4)),
-    "attention_pool": lambda p, x: temporal_attention_pool(p(16), p(1), p(2, 3, 4, 4), np.ones((2, 3), bool)),
+    "attention_pool": lambda p, x: temporal_attention_pool(p(16), p(1), p(2, 3, 4, 4), np.ones((3, 2), bool)),
 }
 
 
@@ -252,7 +252,7 @@ def test_fused_backward_never_writes_its_incoming_gradient(op):
         h_final, attn_w, attn_b = p(t_len, 3, n, h), p(n * h), p(1)
         mask = np.ones((3, t_len), dtype=bool)
         mask[1, -1] = False
-        build = lambda: temporal_attention_pool(attn_w, attn_b, h_final, mask, time_major=True)  # noqa: E731
+        build = lambda: temporal_attention_pool(attn_w, attn_b, h_final, mask)  # noqa: E731
     grad = rng.normal(0.0, 1.0, build().shape)
     frozen = grad.copy()
     frozen.setflags(write=False)
