@@ -43,6 +43,7 @@ class TopologyError(ValueError):
 @dataclass(frozen=True)
 class SkeletonTopology:
     """Fixed joint graph shared by every frame: N nodes, undirected edges.
+    That is all the layers read, so joints have indices and no names.
 
     Self-loops are forbidden here; normalization adds them. Edges are
     stored canonically as sorted pairs.
@@ -50,7 +51,6 @@ class SkeletonTopology:
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -68,10 +68,6 @@ class SkeletonTopology:
             seen.add(pair)
             canon.append(pair)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        if self.names is not None and len(self.names) != self.n_nodes:
-            raise TopologyError(
-                f"{len(self.names)} names for {self.n_nodes} nodes"
-            )
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_nodes, self.n_nodes))
@@ -108,14 +104,6 @@ def chain_topology(n_nodes: int) -> SkeletonTopology:
     return SkeletonTopology(n_nodes, tuple((i, i + 1) for i in range(n_nodes - 1)))
 
 
-_UPPER17_NAMES = (
-    "nose", "left_eye", "right_eye", "left_ear", "right_ear",
-    "neck", "left_shoulder", "right_shoulder",
-    "left_elbow", "right_elbow", "left_wrist", "right_wrist",
-    "left_thumb", "right_thumb", "left_index", "right_index",
-    "torso",
-)
-
 _UPPER17_EDGES = (
     (0, 1), (0, 2), (1, 3), (2, 4), (0, 5),
     (5, 6), (5, 7), (6, 8), (8, 10), (7, 9), (9, 11),
@@ -125,14 +113,19 @@ _UPPER17_EDGES = (
 
 
 def default_17_topology() -> SkeletonTopology:
-    """17 upper-body keypoints (head, arms, hands, torso); the shipped default."""
-    return SkeletonTopology(17, _UPPER17_EDGES, _UPPER17_NAMES)
+    """17 upper-body keypoints (head, arms, hands, torso); the shipped default.
+    Joints by index: 0 nose; 1-4 left eye, right eye, left ear, right ear;
+    5 neck; 6-15 shoulder, elbow, wrist, thumb, index finger, each left then
+    right; 16 torso."""
+    return SkeletonTopology(17, _UPPER17_EDGES)
 
 
 def read_topology_file(path) -> SkeletonTopology:
-    """Parse a topology file; a fault on one line names it as ``<path>:<line>``."""
-    n_nodes = None
-    edges, edge_lines, names = [], [], []
+    """Parse a topology file: one ``n_nodes <N>`` line, ``edge <i> <j>``
+    lines and ``#`` comments, in any order. Any other line, and a fault of
+    the graph, names its line as ``<path>:<line>``."""
+    n_nodes = n_nodes_line = None
+    edges, edge_lines = [], []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -144,12 +137,10 @@ def read_topology_file(path) -> SkeletonTopology:
                     raise TopologyError(f"{path}:{lineno}: second n_nodes line {line!r}")
                 try:
                     if parts[0] == "n_nodes" and len(parts) == 2:
-                        n_nodes = int(parts[1])
+                        n_nodes, n_nodes_line = int(parts[1]), lineno
                     elif parts[0] == "edge" and len(parts) == 3:
                         edges.append((int(parts[1]), int(parts[2])))
                         edge_lines.append(lineno)
-                    elif parts[0] == "name" and len(parts) == 3:
-                        names.append((int(parts[1]), parts[2], lineno))
                     else:
                         raise ValueError
                 except ValueError:
@@ -158,27 +149,23 @@ def read_topology_file(path) -> SkeletonTopology:
         raise TopologyError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if n_nodes is None:
         raise TopologyError(f"{path}: missing n_nodes line")
-    named = {}
-    for i, name, lineno in names:
-        if not 0 <= i < n_nodes:
-            raise TopologyError(f"{path}:{lineno}: name index {i} outside [0, {n_nodes})")
-        if i in named:
-            raise TopologyError(f"{path}:{lineno}: second name for node {i}")
-        named[i] = name
-    name_tuple = tuple(named.get(i, f"node{i}") for i in range(n_nodes)) if named else None
     try:
-        return SkeletonTopology(n_nodes, tuple(edges), name_tuple)
-    except TopologyError as exc:
-        line = "" if exc.edge is None else f":{edge_lines[exc.edge]}"
-        raise TopologyError(f"{path}{line}: {exc}") from None
+        return SkeletonTopology(n_nodes, tuple(edges))
+    except TopologyError as exc:  # a fault with no edge is the node count's
+        line = n_nodes_line if exc.edge is None else edge_lines[exc.edge]
+        raise TopologyError(f"{path}:{line}: {exc}") from None
 
 
 def resolve_topology(spec: str) -> SkeletonTopology:
-    """Accepts 'upper17', 'chain:<n>', or a topology file path."""
+    """Accepts 'upper17', 'chain:<n>' with a whole number n >= 1, or a
+    topology file path."""
     if spec == "upper17":
         return default_17_topology()
     if spec.startswith("chain:"):
-        return chain_topology(int(spec.split(":", 1)[1]))
+        n = spec[len("chain:"):]
+        if not n.isdecimal() or int(n) < 1:
+            raise ValueError(f"topology {spec!r}: chain:<n> needs a whole number n >= 1")
+        return chain_topology(int(n))
     return read_topology_file(spec)
 
 

@@ -249,6 +249,8 @@ def _frames_and_weights(
     if not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise MaskError(f"sample {bad} has no unmasked frames")
+    if h_final.ndim != 4:
+        raise ShapeError(f"pooled stream must be [T, B, N, H], got {list(h_final.shape)}")
     t, b, n, h = h_final.shape
     if attn_w.shape != (n * h,):
         raise ShapeError(f"attention weights {list(attn_w.shape)} do not match frame width {n * h}")

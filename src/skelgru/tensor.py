@@ -136,8 +136,7 @@ def active_tape():
 
 def tape_for(inputs) -> Tape | None:
     """The tape an op over ``inputs`` records on: the active one, or None
-    when there is none or no input is tracked. A tape with no records is
-    falsy, so test the result with ``is not None``."""
+    when there is none or no input is tracked."""
     tape = active_tape()
     return tape if tape is not None and any(t.requires_grad for t in inputs) else None
 
@@ -175,9 +174,6 @@ class Tape:
         popped = _stack().pop()
         assert popped is self
         return False
-
-    def __len__(self):
-        return len(self.records)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

@@ -492,7 +492,7 @@ def test_gru_sequence_without_tape_records_nothing_and_keeps_bits(rng):
     with Tape() as tape:
         untracked = gru_sequence(rand_gru(rng, 3, 2), rand(rng, (5, 4, 2)), h0)
     assert taped.requires_grad and not untaped.requires_grad
-    assert len(tape) == 0 and not untracked.requires_grad
+    assert len(tape.records) == 0 and not untracked.requires_grad
     assert np.array_equal(taped.data, untaped.data)
 
 

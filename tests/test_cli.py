@@ -456,7 +456,7 @@ def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(t
     assert run("predict", str(dataset), *args) == EXIT_DATA
 
     topo_file = tmp_path / "topo.txt"
-    topo_file.write_bytes(b"n_nodes 3\nedge 0 1\nname 0 \xff\n")
+    topo_file.write_bytes(b"n_nodes 3\nedge 0 1\n# \xff\n")
     assert run("eval", "--split", "val", *args, f"--set=data.topology={topo_file}") == EXIT_DATA
 
     body = bytearray((tmp_path / "run/best.ckpt").read_bytes()[:-32])
@@ -479,15 +479,32 @@ def test_missing_or_unreadable_run_config_is_config_error(tmp_path, capsys):
         assert f"config error: {path}: cannot read run config" in capsys.readouterr().err
 
 
-def test_topology_file_faults_are_data_errors_naming_their_line(tmp_path, capsys):
-    args = synth_and_train(tmp_path)
+def test_topology_faults_exit_with_their_code_and_name_where(tmp_path, capsys):
+    """Each fault of a topology file exits 3 naming its line, and each malformed
+    ``chain:<n>`` exits 2 naming the spec; ``train`` resolves the topology first,
+    so either way it writes nothing."""
     topo_file = tmp_path / "topo.txt"
-    for text, where in (("n_nodes 3\nname 0 a\nname 0 b\nedge 0 1\nedge 1 2\n", ":3: second name for node 0"),
-                        ("n_nodes 3\nedge 0 1\nedge 1 2\nedge 1 0\n", ":4: duplicate edge (0, 1)")):
-        topo_file.write_text(text)
+    file_faults = (
+        (b"n_nodes 3\nedge 0 1\nname 0 head\n", ":3: cannot parse 'name 0 head'"),
+        (b"n_nodes 3\nedge 0 one\n", ":2: cannot parse 'edge 0 one'"),
+        (b"n_nodes 3\nedge 0 1\nn_nodes 4\n", ":3: second n_nodes line 'n_nodes 4'"),
+        (b"# none\nn_nodes 0\n", ":2: n_nodes must be positive, got 0"),
+        (b"n_nodes 3\nedge 1 1\n", ":2: self-loop on node 1"),
+        (b"n_nodes 3\nedge 0 1\nedge 1 2\nedge 1 0\n", ":4: duplicate edge (0, 1)"),
+        (b"n_nodes 3\nedge 0 3\n", ":2: edge (0,3) outside [0, 3)"),
+        (b"n_nodes 3\n# \xff\n", ": not UTF-8 text"),
+    )
+    cases = [(str(topo_file), body, EXIT_DATA, f"data error: {topo_file}{where}") for body, where in file_faults]
+    cases += [(spec, None, EXIT_CONFIG, f"config error: topology '{spec}'")
+              for spec in ("chain:0", "chain:-2", "chain:abc")]
+    for spec, body, code, message in cases:
+        if body is not None:
+            topo_file.write_bytes(body)
         capsys.readouterr()
-        assert run("eval", "--split", "val", *args, f"--set=data.topology={topo_file}") == EXIT_DATA
-        assert f"{topo_file}{where}" in capsys.readouterr().err
+        assert run("train", *tiny_overrides(tmp_path, **{"data.topology": spec})) == code, message
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err and not captured.out
+        assert not (tmp_path / "run").exists()
 
 
 class TestGradcheck:

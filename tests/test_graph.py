@@ -38,7 +38,6 @@ def rand(rng, shape, grad=False):
 def topology_text(topo):
     """The topology file format that :func:`read_topology_file` parses."""
     lines = [f"n_nodes {topo.n_nodes}", *(f"edge {i} {j}" for i, j in topo.edges)]
-    lines += [f"name {i} {name}" for i, name in enumerate(topo.names or ())]
     return "\n".join(lines) + "\n"
 
 
@@ -82,7 +81,6 @@ def test_default_topology_is_17_node_tree():
     topo = default_17_topology()
     assert topo.n_nodes == 17
     assert len(topo.edges) == 16
-    assert len(topo.names) == 17
     deg = topo.adjacency().sum(axis=0)
     assert (deg >= 1).all()  # connected enough: no isolated joints
 
@@ -112,15 +110,8 @@ def test_topology_file_errors(tmp_path):
     path.write_text("edge 0 1\n")
     with pytest.raises(TopologyError, match="missing n_nodes"):
         read_topology_file(path)
-    path.write_bytes(b"n_nodes 3\nname 0 \xff\n")
+    path.write_bytes(b"n_nodes 3\n# \xff\n")
     with pytest.raises(TopologyError, match=r"bad\.txt: not UTF-8"):
-        read_topology_file(path)
-
-
-def test_topology_file_name_outside_the_nodes_is_an_error(tmp_path):
-    path = tmp_path / "names.txt"
-    path.write_text("name 3 wrist\nn_nodes 3\nedge 0 1\nname 0 head\n")
-    with pytest.raises(TopologyError, match=r"names\.txt:1: name index 3 outside \[0, 3\)"):
         read_topology_file(path)
 
 
@@ -132,11 +123,12 @@ def test_topology_file_second_n_nodes_line_is_an_error(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("n_nodes 2\nname 0 a\nname 0 b\n", r"faulty\.txt:3: second name for node 0"),
+    ("n_nodes 2\nedge 0 1\nname 0 head\n", r"faulty\.txt:3: cannot parse 'name 0 head'"),
     ("n_nodes 3\nedge 0 1\nedge 1 0\n", r"faulty\.txt:3: duplicate edge \(0, 1\)"),
     ("n_nodes 3\n# a loop\nedge 2 2\n", r"faulty\.txt:3: self-loop on node 2"),
     ("edge 0 3\nn_nodes 3\n", r"faulty\.txt:1: edge \(0,3\) outside \[0, 3\)"),
-], ids=["repeated name", "duplicate edge", "self-loop", "edge outside the nodes"])
+    ("edge 0 1\n\nn_nodes 0\n", r"faulty\.txt:3: n_nodes must be positive, got 0"),
+], ids=["name line", "duplicate edge", "self-loop", "edge outside the nodes", "no nodes"])
 def test_topology_file_faults_name_their_line(tmp_path, text, message):
     path = tmp_path / "faulty.txt"
     path.write_text(text)
@@ -318,7 +310,7 @@ def test_taped_paper_width_gcn_layer_holds_only_its_output():
             return gcn_forward(w, h, topo)
 
     taped, held, _ = oracles.traced_streams(forward, h.data.nbytes)
-    assert len(tape) == 1
+    assert len(tape.records) == 1
     assert held <= 1.05
     assert np.array_equal(taped.data, untaped.data)
 
@@ -507,7 +499,7 @@ def test_gat_layer_without_tape_records_nothing_and_keeps_bits(rng):
     with Tape() as tape:
         untracked = gat_forward(random_gat_params(rng, 3, 2, heads=2), rand(rng, (2, 3, 5, 3)), topo)
     assert taped.requires_grad and not untaped.requires_grad
-    assert len(tape) == 0 and not untracked.requires_grad
+    assert len(tape.records) == 0 and not untracked.requires_grad
     assert np.array_equal(taped.data, untaped.data)
 
 
@@ -539,7 +531,7 @@ def test_taped_desk_gat_layer_holds_only_its_output():
             return gat_forward(params, h, topo)
 
     taped, held, _ = oracles.traced_streams(forward, untaped.data.nbytes)
-    assert len(tape) == 1
+    assert len(tape.records) == 1
     assert held <= 1.05
     assert np.array_equal(taped.data, untaped.data)
 

@@ -353,6 +353,12 @@ def test_attention_weight_width_validated(rng):
         temporal_attention_pool(rand(rng, (5,)), rand(rng, (1,)), stream(rand(rng, (1, 3, 2, 3))), full_mask(1, 3))
 
 
+@pytest.mark.parametrize("pool", [temporal_attention_pool, temporal_attention_weights])
+def test_attention_stream_rank_validated(rng, pool):
+    with pytest.raises(ShapeError, match=r"\[T, B, N, H\], got \[3, 1, 6\]"):
+        pool(rand(rng, (6,)), rand(rng, (1,)), rand(rng, (3, 1, 6)), full_mask(1, 3))
+
+
 def test_attention_pool_matches_per_op_chain_bit_for_bit(rng):
     """Output and all three gradients, with padded frames, equal the per-op
     chain's bit for bit on the model's [T, B, N, H] stream."""
@@ -775,7 +781,7 @@ def test_desk_step_backward_adds_little_memory():
 
     (tape, loss, forward, added), _, _ = oracles.traced_streams(step, 1)
     assert added < 0.25 * forward, f"backward added {added} bytes over a {forward}-byte forward"
-    assert len(tape) == 0
+    assert len(tape.records) == 0
     with pytest.raises(TapeError):
         backward(tape, loss)
 

@@ -195,7 +195,7 @@ def test_residual_norm_without_tape_records_nothing_and_keeps_bits(rng):
     frozen = [Tensor(t.data) for t in (block, x, g, b)]
     with Tape() as tape:
         untracked = ops.residual_norm(*frozen, eps=1e-5)
-    assert len(tape) == 0 and np.array_equal(untracked.data, taped.data)
+    assert len(tape.records) == 0 and np.array_equal(untracked.data, taped.data)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (32, 32, 9, 32), (32, 4, 17, 64)])

@@ -134,7 +134,7 @@ def test_backward_consumes_the_tape():
         y = ops.mul(x, x)
         loss = ops.sum_all(y)
     backward(tape, loss)
-    assert len(tape) == 0
+    assert len(tape.records) == 0
     assert y.grad is None and loss.grad is None
     with pytest.raises(TapeError, match="no records"):
         backward(tape, loss)
