@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import SkeletonTopology
+from .graph import SkeletonTopology, read_lines
 from .seeding import derive_rng
 
 
@@ -125,44 +125,40 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
     a DataFormatError.
     """
     samples, ids = [], set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: invalid record: {exc}") from None
-                if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
-                    raise DataFormatError(f"{path}:{lineno}: record needs id, label, frames")
-                label = rec["label"]
-                if isinstance(label, bool) or not isinstance(label, int):
-                    raise DataFormatError(f"{path}:{lineno}: label {label!r} is not an integer")
-                try:
-                    seq = KeypointSequence(str(rec["id"]), label, rec["frames"])
-                except (DataFormatError, TypeError, ValueError, OverflowError) as exc:
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-                # numpy reads a JSON true/false as 1.0/0.0; only a line that spells one needs the walk
-                if ("true" in line or "false" in line) and any(
-                        isinstance(v, bool) for frame in rec["frames"] for joint in frame for v in joint):
-                    raise DataFormatError(f"{path}:{lineno}: sample {seq.id!r}: boolean coordinate")
-                if seq.n_nodes != topo.n_nodes:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "
-                        f"topology has {topo.n_nodes}"
-                    )
-                if seq.id in ids:
-                    raise DataFormatError(f"{path}:{lineno}: duplicate sample id {seq.id!r}")
-                if class_count is not None and seq.label >= class_count:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: sample {seq.id!r}: label {seq.label} outside [0, {class_count})"
-                    )
-                ids.add(seq.id)
-                samples.append(seq)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    for lineno, line in enumerate(read_lines(path, DataFormatError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid record: {exc}") from None
+        if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
+            raise DataFormatError(f"{path}:{lineno}: record needs id, label, frames")
+        label = rec["label"]
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise DataFormatError(f"{path}:{lineno}: label {label!r} is not an integer")
+        try:
+            seq = KeypointSequence(str(rec["id"]), label, rec["frames"])
+        except (DataFormatError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        # numpy reads a JSON true/false as 1.0/0.0; only a line that spells one needs the walk
+        if ("true" in line or "false" in line) and any(
+                isinstance(v, bool) for frame in rec["frames"] for joint in frame for v in joint):
+            raise DataFormatError(f"{path}:{lineno}: sample {seq.id!r}: boolean coordinate")
+        if seq.n_nodes != topo.n_nodes:
+            raise DataFormatError(
+                f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "
+                f"topology has {topo.n_nodes}"
+            )
+        if seq.id in ids:
+            raise DataFormatError(f"{path}:{lineno}: duplicate sample id {seq.id!r}")
+        if class_count is not None and seq.label >= class_count:
+            raise DataFormatError(
+                f"{path}:{lineno}: sample {seq.id!r}: label {seq.label} outside [0, {class_count})"
+            )
+        ids.add(seq.id)
+        samples.append(seq)
     if not samples:
         raise DataFormatError(f"{path}: no samples")
     return DatasetManifest(samples, class_count if class_count else max(s.label for s in samples) + 1)
@@ -226,7 +222,9 @@ def preprocess(
 
 @dataclass
 class PreparedSplit:
-    """Model-ready arrays: features [S, T, N, 2], mask [S, T], labels [S]."""
+    """Padded model-ready samples, a whole split or one batch of it:
+    features [S, T, N, d], frame mask [S, T], labels [S], at least one
+    sample. ``split[idx]`` takes a slice or an index array."""
 
     features: np.ndarray
     mask: np.ndarray
@@ -238,12 +236,26 @@ class PreparedSplit:
         self.mask = np.asarray(self.mask, dtype=bool)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 4:
-            raise DataFormatError(f"features must be [S,T,N,2], got {list(self.features.shape)}")
+            raise DataFormatError(f"features must be [S,T,N,d], got {list(self.features.shape)}")
         s, t = self.features.shape[:2]
         if self.mask.shape != (s, t) or self.labels.shape != (s,):
-            raise DataFormatError("mask/labels do not match features")
+            raise DataFormatError(f"mask {list(self.mask.shape)} and labels {list(self.labels.shape)} "
+                                  f"do not match features [{s},{t}]")
         if self.ids and len(self.ids) != s:
             raise DataFormatError("ids do not match sample count")
+        if s == 0:
+            raise DataFormatError("a split needs at least one sample")
+        if self.labels.min() < 0:
+            raise DataFormatError(f"negative label {self.labels.min()}")
+
+    def __getitem__(self, idx) -> PreparedSplit:
+        ids = list(np.asarray(self.ids, dtype=object)[idx]) if self.ids else []
+        return PreparedSplit(self.features[idx], self.mask[idx], self.labels[idx], ids)
+
+    # perfbench's tracer reads a training batch's ``size``; its workloads take ``len()``
+    @property
+    def size(self) -> int:
+        return len(self)
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import ops
 from .cells import GRUCellParams, gru_sequence
+from .data import PreparedSplit
 from .graph import GATLayerParams, SkeletonTopology, chain_topology, gat_forward, gcn_forward
-from .model import (ModelConfig, SequenceBatch, init_model_params, model_forward, named_parameters,
+from .model import (ModelConfig, init_model_params, model_forward, named_parameters,
                     temporal_attention_pool, tiny_reference_config)
 from .seeding import derive_rng
 from .tensor import Tape, Tensor, backward
@@ -185,7 +186,7 @@ def model_gradient_report(
         mask[-1, -1] = False
         feats[-1, -1] = 0.0
     labels = rng.integers(0, config.classes, size=b)
-    batch = SequenceBatch(Tensor(feats), mask, labels)
+    batch = PreparedSplit(feats, mask, labels)
 
     def f():
         logits = model_forward(params, config, batch, topo, training=False)

@@ -120,33 +120,41 @@ def default_17_topology() -> SkeletonTopology:
     return SkeletonTopology(17, _UPPER17_EDGES)
 
 
+def read_lines(path, error: type[Exception]) -> list[str]:
+    """A UTF-8 file's lines, split at \\r\\n, \\r and \\n as text mode splits
+    them; a byte that is not UTF-8 raises ``error`` naming ``<path>:<line>``."""
+    with open(path, "rb") as fh:
+        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+
+
 def read_topology_file(path) -> SkeletonTopology:
     """Parse a topology file: one ``n_nodes <N>`` line, ``edge <i> <j>``
     lines and ``#`` comments, in any order. Any other line, and a fault of
     the graph, names its line as ``<path>:<line>``."""
     n_nodes = n_nodes_line = None
     edges, edge_lines = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if parts[0] == "n_nodes" and n_nodes is not None:
-                    raise TopologyError(f"{path}:{lineno}: second n_nodes line {line!r}")
-                try:
-                    if parts[0] == "n_nodes" and len(parts) == 2:
-                        n_nodes, n_nodes_line = int(parts[1]), lineno
-                    elif parts[0] == "edge" and len(parts) == 3:
-                        edges.append((int(parts[1]), int(parts[2])))
-                        edge_lines.append(lineno)
-                    else:
-                        raise ValueError
-                except ValueError:
-                    raise TopologyError(f"{path}:{lineno}: cannot parse {line!r}") from None
-    except UnicodeDecodeError as exc:
-        raise TopologyError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    for lineno, line in enumerate(read_lines(path, TopologyError), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "n_nodes" and n_nodes is not None:
+            raise TopologyError(f"{path}:{lineno}: second n_nodes line {line!r}")
+        try:
+            if parts[0] == "n_nodes" and len(parts) == 2:
+                n_nodes, n_nodes_line = int(parts[1]), lineno
+            elif parts[0] == "edge" and len(parts) == 3:
+                edges.append((int(parts[1]), int(parts[2])))
+                edge_lines.append(lineno)
+            else:
+                raise ValueError
+        except ValueError:
+            raise TopologyError(f"{path}:{lineno}: cannot parse {line!r}") from None
     if n_nodes is None:
         raise TopologyError(f"{path}: missing n_nodes line")
     try:

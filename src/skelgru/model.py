@@ -1,13 +1,14 @@
 """The full classifier: embed, stacked residual graph-recurrent stages,
 temporal attention pooling, dense head.
 
-Batches are [batch B, frames T, nodes N, features]; the stream between
-embedding and pooling is time-major, [T, B, N, H]. Each stage runs the
-spatial layer per frame, then a shared-weight GRU along t per (sample,
-node), which reads the stream as it is; a fused residual layer norm
-closes the stage. Pooling flattens each frame to one N*H vector, scores
-it with a shared linear map, and softmaxes the scores over real frames
-only.
+A batch is a ``data.PreparedSplit``, the type preprocessing builds and
+checks: features [batch B, frames T, nodes N, d], frame mask, labels. The
+stream between embedding and pooling is time-major, [T, B, N, H]. Each
+stage runs the spatial layer per frame, then a shared-weight GRU along t
+per (sample, node), which reads the stream as it is; a fused residual
+layer norm closes the stage. Pooling flattens each frame to one N*H
+vector, scores it with a shared linear map, and softmaxes the scores over
+real frames only.
 
 The embedding and the head's output layer are each one ``linear`` record,
 which keeps its operands but no product, and pooling is one
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import ops
 from .cells import GRUCellParams, unroll
+from .data import PreparedSplit
 from .graph import GATLayerParams, SkeletonTopology, gat_forward, gcn_forward
 from .seeding import derive_rng
 from .tensor import MaskError, ShapeError, Tensor, tape_for
@@ -106,35 +108,6 @@ class ModelParams:
     out_b: Tensor  # [classes]
 
 
-@dataclass
-class SequenceBatch:
-    """Padded batch: features [B, T, N, d], frame mask [B, T], labels [B]."""
-
-    features: Tensor
-    mask: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 4:
-            raise ShapeError(f"features must be [B,T,N,d], got {list(self.features.shape)}")
-        b, t = self.features.shape[:2]
-        if self.mask.shape != (b, t):
-            raise ShapeError(f"mask {list(self.mask.shape)} does not match frames [{b},{t}]")
-        if self.labels.shape != (b,):
-            raise ShapeError(f"labels {list(self.labels.shape)} do not match batch {b}")
-        if not self.mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~self.mask.any(axis=1))[0])
-            raise MaskError(f"sample {bad} has no unmasked frames")
-        if self.labels.size and self.labels.min() < 0:
-            raise ValueError(f"negative label {self.labels.min()}")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
@@ -208,12 +181,11 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     return out
 
 
-def embed_input(params: ModelParams, batch: SequenceBatch) -> Tensor:
-    """Shared per-node linear map d -> H into the stream [T, B, N, H], one
-    ``linear`` record; the untracked features are transposed first, so the
-    bias sums a contiguous gradient."""
-    frames = ops.transpose(batch.features, (1, 0, 2, 3))
-    return ops.linear(frames, params.embed_w, params.embed_b)
+def embed_input(params: ModelParams, batch: PreparedSplit) -> Tensor:
+    """Shared per-node linear map d -> H of the batch's features [B, T, N, d]
+    into the stream [T, B, N, H], one ``linear`` record; the features are
+    copied time-major first, so the bias sums a contiguous gradient."""
+    return ops.linear(Tensor(batch.features.transpose(1, 0, 2, 3)), params.embed_w, params.embed_b)
 
 
 def stage_forward(stage: StageParams, h_in: Tensor, topo: SkeletonTopology) -> Tensor:
@@ -331,12 +303,13 @@ def classify(
 def model_forward(
     params: ModelParams,
     config: ModelConfig,
-    batch: SequenceBatch,
+    batch: PreparedSplit,
     topo: SkeletonTopology,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Embed, run all residual stages, pool over time, classify.
+    """Embed the batch, run all residual stages, pool over its unmasked
+    frames, classify; its shapes must match ``config`` and ``topo``.
 
     Call under one Tape to make backward() differentiate the whole model.
     """

@@ -15,7 +15,7 @@ from . import ops
 from .checkpoint import save_checkpoint
 from .data import PreparedSplit
 from .graph import SkeletonTopology
-from .model import ModelConfig, ModelParams, SequenceBatch, model_forward, named_parameters
+from .model import ModelConfig, ModelParams, model_forward, named_parameters
 from .tensor import Tape, Tensor, backward, first_invalid_record
 from .seeding import derive_rng
 
@@ -280,10 +280,7 @@ def eval_logits(
     retain_freed_memory()
     chunks = []
     for sl in _batch_slices(len(split), batch_size):
-        batch = SequenceBatch(
-            Tensor(split.features[sl]), split.mask[sl], split.labels[sl]
-        )
-        chunks.append(model_forward(params, config, batch, topo, training=False).data)
+        chunks.append(model_forward(params, config, split[sl], topo, training=False).data)
     return np.concatenate(chunks, axis=0)
 
 
@@ -295,8 +292,6 @@ def evaluate(
     batch_size: int = 64,
 ) -> EvalReport:
     """Deterministic full-split evaluation; ties go to the lower class index."""
-    if len(split) == 0:
-        raise ValueError("cannot evaluate an empty split")
     logits = eval_logits(params, config, topo, split, batch_size)
     preds = logits.argmax(axis=1)
     conf = np.zeros((config.classes, config.classes), dtype=np.int64)
@@ -340,8 +335,6 @@ def train(
     with the epoch named, before that epoch's log record or checkpoint is
     written.
     """
-    if len(train_split) == 0 or len(val_split) == 0:
-        raise ValueError("train and validation splits must be non-empty")
     retain_freed_memory()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,11 +356,7 @@ def train(
             sample_losses = np.zeros(len(train_split))
             for step, sl in enumerate(_batch_slices(len(train_split), plan.batch_size)):
                 idx = order[sl]
-                batch = SequenceBatch(
-                    Tensor(train_split.features[idx]),
-                    train_split.mask[idx],
-                    train_split.labels[idx],
-                )
+                batch = train_split[idx]
                 drop_rng = derive_rng(plan.seed, "dropout", epoch, step)
                 with Tape() as tape:
                     logits = model_forward(

@@ -245,8 +245,9 @@ def embed_per_op_ref(params, batch):
     """The embedding as the per-op chain ``model.embed_input`` recorded
     before it became one ``linear`` record: transpose, matmul, add_bias."""
     from skelgru import ops
+    from skelgru.tensor import Tensor
 
-    frames = ops.transpose(batch.features, (1, 0, 2, 3))
+    frames = ops.transpose(Tensor(batch.features), (1, 0, 2, 3))
     return ops.add_bias(ops.matmul(frames, params.embed_w), params.embed_b)
 
 

@@ -26,6 +26,7 @@ from skelgru.cells import (
 from skelgru.checkpoint import load_checkpoint, save_checkpoint
 from skelgru.data import (
     DatasetManifest,
+    PreparedSplit,
     SynthSpec,
     ingest,
     prepare_split,
@@ -43,7 +44,6 @@ from skelgru.graph import (
 )
 from skelgru.model import (
     ModelConfig,
-    SequenceBatch,
     init_model_params,
     model_forward,
     named_parameters,
@@ -235,10 +235,10 @@ def test_04_structural_invariants(capsys):
     masked_zero = np.all(alpha[~mask] == 0.0)
 
     feats = rng.normal(size=(b, t_len, config.n_nodes, 2))
-    logits = model_forward(params, config, SequenceBatch(Tensor(feats), mask, np.zeros(b, dtype=np.int64)), chain)
+    logits = model_forward(params, config, PreparedSplit(feats, mask, np.zeros(b, dtype=np.int64)), chain)
     bumped = feats.copy()
     bumped[~mask] += rng.normal(size=bumped[~mask].shape) * 10.0
-    logits_bumped = model_forward(params, config, SequenceBatch(Tensor(bumped), mask, np.zeros(b, dtype=np.int64)), chain)
+    logits_bumped = model_forward(params, config, PreparedSplit(bumped, mask, np.zeros(b, dtype=np.int64)), chain)
     immune = np.array_equal(logits.data, logits_bumped.data)
 
     ok = worst <= 1e-12 and rows_ok and masked_zero and immune
@@ -352,12 +352,11 @@ def test_08_random_label_overfit(capsys):
     params = init_model_params(config, seed=0)
     named = named_parameters(params)
     state = init_adamw(named, lr=3e-3, weight_decay=0.0)
-    batch = SequenceBatch(Tensor(prepared.features), prepared.mask, labels)
 
     solved_at = None
     for step in range(1, 301):
         with Tape() as tape:
-            logits = model_forward(params, config, batch, topo, training=True)
+            logits = model_forward(params, config, prepared, topo, training=True)
             loss = ops.cross_entropy(logits, labels)
             backward(tape, loss)
         adamw_step(state, named)

@@ -454,6 +454,11 @@ def test_undecodable_inputs_are_data_errors_but_run_configs_stay_config_errors(t
     dataset = tmp_path / "utf16.jsonl"
     dataset.write_bytes(b"\xff\xfe" + (tmp_path / "data/val.jsonl").read_bytes())
     assert run("predict", str(dataset), *args) == EXIT_DATA
+    records = (tmp_path / "data/val.jsonl").read_bytes().split(b"\n")
+    dataset.write_bytes(b"\r".join(records[:2] + [b"\xff" + records[2]] + records[3:]))
+    capsys.readouterr()
+    assert run("predict", str(dataset), *args) == EXIT_DATA
+    assert f"data error: {dataset}:3: not UTF-8 text: invalid start byte" in capsys.readouterr().err
 
     topo_file = tmp_path / "topo.txt"
     topo_file.write_bytes(b"n_nodes 3\nedge 0 1\n# \xff\n")
@@ -492,7 +497,7 @@ def test_topology_faults_exit_with_their_code_and_name_where(tmp_path, capsys):
         (b"n_nodes 3\nedge 1 1\n", ":2: self-loop on node 1"),
         (b"n_nodes 3\nedge 0 1\nedge 1 2\nedge 1 0\n", ":4: duplicate edge (0, 1)"),
         (b"n_nodes 3\nedge 0 3\n", ":2: edge (0,3) outside [0, 3)"),
-        (b"n_nodes 3\n# \xff\n", ": not UTF-8 text"),
+        (b"n_nodes 3\n# \xff\n", ":2: not UTF-8 text"),
     )
     cases = [(str(topo_file), body, EXIT_DATA, f"data error: {topo_file}{where}") for body, where in file_faults]
     cases += [(spec, None, EXIT_CONFIG, f"config error: topology '{spec}'")

@@ -122,7 +122,7 @@ class TestFileFormat:
         path = tmp_path / "data.jsonl"
         rec = {"id": "a", "label": 0, "frames": toy_frames(1, 2).tolist()}
         path.write_bytes(b"\xff\xfe" + json.dumps(rec).encode() + b"\n")
-        with pytest.raises(DataFormatError, match=r"data\.jsonl: not UTF-8"):
+        with pytest.raises(DataFormatError, match=r"data\.jsonl:1: not UTF-8"):
             ingest(path, chain_topology(2))
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -12,8 +12,9 @@ from skelgru.gradcheck import (
     finite_diff_report,
     gate_rows,
 )
+from skelgru.data import PreparedSplit
 from skelgru.graph import GATLayerParams, SkeletonTopology, chain_topology, gat_forward
-from skelgru.model import SequenceBatch, init_model_params, model_forward, tiny_reference_config
+from skelgru.model import init_model_params, model_forward, tiny_reference_config
 from skelgru.tensor import Tape, Tensor
 
 
@@ -117,7 +118,7 @@ def test_gate_checks_every_op_a_training_step_records(gnn_kind, gate_labels):
     params = init_model_params(config, seed=0)
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(2, config.seq_len, config.n_nodes, config.input_dim))
-    batch = SequenceBatch(Tensor(feats), np.ones((2, config.seq_len), dtype=bool), np.array([0, 2]))
+    batch = PreparedSplit(feats, np.ones((2, config.seq_len), dtype=bool), np.array([0, 2]))
     with Tape() as tape:
         logits = model_forward(params, config, batch, chain_topology(config.n_nodes), training=True,
                                rng=np.random.default_rng(7))

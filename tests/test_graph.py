@@ -111,7 +111,7 @@ def test_topology_file_errors(tmp_path):
     with pytest.raises(TopologyError, match="missing n_nodes"):
         read_topology_file(path)
     path.write_bytes(b"n_nodes 3\n# \xff\n")
-    with pytest.raises(TopologyError, match=r"bad\.txt: not UTF-8"):
+    with pytest.raises(TopologyError, match=r"bad\.txt:2: not UTF-8"):
         read_topology_file(path)
 
 

@@ -11,12 +11,12 @@ import oracles
 from skelgru import model, ops
 from skelgru.cells import GRUCellParams
 from skelgru.config import load_run_config, model_config_from
+from skelgru.data import DataFormatError, PreparedSplit
 from skelgru.gradcheck import finite_diff_check, model_gradient_report
 from skelgru.graph import GATLayerParams, SkeletonTopology, chain_topology, gcn_forward
 from skelgru.model import (
     ModelConfig,
     ModelParams,
-    SequenceBatch,
     StageParams,
     classify,
     embed_input,
@@ -55,7 +55,7 @@ def random_batch(config, b=2, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(0, 1, (b, config.seq_len, config.n_nodes, config.input_dim))
     labels = rng.integers(0, config.classes, b)
-    return SequenceBatch(Tensor(feats), full_mask(b, config.seq_len), labels)
+    return PreparedSplit(feats, full_mask(b, config.seq_len), labels)
 
 
 def zero_gru(h):
@@ -112,15 +112,21 @@ def test_gcn_config_allows_any_heads():
 # batch validation
 
 def test_batch_validation():
-    feats = Tensor(np.zeros((2, 3, 4, 2)))
+    feats = np.zeros((2, 3, 4, 2))
+    with pytest.raises(DataFormatError):
+        PreparedSplit(feats, full_mask(2, 4), np.array([0, 1]))
+    with pytest.raises(DataFormatError):
+        PreparedSplit(feats, full_mask(2, 3), np.array([0]))
+    with pytest.raises(DataFormatError):
+        PreparedSplit(feats[0], full_mask(2, 3), np.array([0, 1]))
+    with pytest.raises(DataFormatError, match="at least one sample"):
+        PreparedSplit(feats[:0], full_mask(0, 3), np.array([], dtype=np.int64))
+    with pytest.raises(DataFormatError, match="negative label"):
+        PreparedSplit(feats, full_mask(2, 3), np.array([0, -1]))
+    config = ModelConfig(stages=1, gnn_kind="gcn", hidden=2, seq_len=3, n_nodes=4, classes=2)
+    batch = PreparedSplit(feats, np.array([[1, 1, 0], [0, 0, 0]], dtype=bool), np.array([0, 1]))
     with pytest.raises(MaskError, match="sample 1"):
-        SequenceBatch(feats, np.array([[1, 1, 0], [0, 0, 0]], dtype=bool), np.array([0, 1]))
-    with pytest.raises(ShapeError):
-        SequenceBatch(feats, full_mask(2, 4), np.array([0, 1]))
-    with pytest.raises(ShapeError):
-        SequenceBatch(feats, full_mask(2, 3), np.array([0]))
-    with pytest.raises(ValueError, match="negative label"):
-        SequenceBatch(feats, full_mask(2, 3), np.array([0, -1]))
+        model_forward(init_model_params(config), config, batch, chain_topology(4))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def test_embed_identity_passes_coordinates():
     params.embed_w.data[:] = np.eye(2)
     params.embed_b.data[:] = 0.0
     batch = random_batch(config)
-    assert np.allclose(embed_input(params, batch).data.transpose(1, 0, 2, 3), batch.features.data)
+    assert np.allclose(embed_input(params, batch).data.transpose(1, 0, 2, 3), batch.features)
 
 
 def test_embed_matches_per_node_loop():
@@ -155,7 +161,7 @@ def test_embed_matches_per_node_loop():
     for bi in range(2):
         for t in range(3):
             for v in range(4):
-                want = batch.features.data[bi, t, v] @ params.embed_w.data + params.embed_b.data
+                want = batch.features[bi, t, v] @ params.embed_w.data + params.embed_b.data
                 assert np.allclose(got[bi, t, v], want, atol=1e-14)
 
 
@@ -197,7 +203,7 @@ def test_taped_desk_embedding_holds_only_its_output_and_input():
 
     taped, held, _ = oracles.traced_streams(forward, 1)
     assert [rec.op for rec in tape.records] == ["linear"]
-    assert held <= 1.05 * (taped.data.nbytes + batch.features.data.nbytes)
+    assert held <= 1.05 * (taped.data.nbytes + batch.features.nbytes)
     assert np.array_equal(taped.data, untaped.data)
 
 
@@ -519,7 +525,7 @@ def test_model_forward_hand_computed_trace():
     params.out_b.data[:] = [0.05, -0.05]
 
     x = np.array([[[[0.3, -0.5]]]])
-    batch = SequenceBatch(Tensor(x), full_mask(1, 1), np.array([0]))
+    batch = PreparedSplit(x, full_mask(1, 1), np.array([0]))
     logits = model_forward(params, config, batch, topo, training=False).data[0]
 
     e = [0.3 + 0.1, -0.5 + 0.2]  # embed
@@ -542,8 +548,8 @@ def test_model_forward_batch_rows_independent():
     topo = chain_topology(config.n_nodes)
     params = init_model_params(config, seed=4)
     single = random_batch(config, b=1, seed=11)
-    doubled = SequenceBatch(
-        Tensor(np.repeat(single.features.data, 2, axis=0)),
+    doubled = PreparedSplit(
+        np.repeat(single.features, 2, axis=0),
         np.repeat(single.mask, 2, axis=0),
         np.repeat(single.labels, 2),
     )
@@ -559,8 +565,8 @@ def test_model_forward_validates_consistency():
     batch = random_batch(config)
     with pytest.raises(ShapeError, match="topology"):
         model_forward(params, config, batch, chain_topology(5))
-    bad = SequenceBatch(
-        Tensor(np.zeros((1, config.seq_len + 1, config.n_nodes, 2))),
+    bad = PreparedSplit(
+        np.zeros((1, config.seq_len + 1, config.n_nodes, 2)),
         full_mask(1, config.seq_len + 1), np.array([0]),
     )
     with pytest.raises(ShapeError, match="seq_len"):

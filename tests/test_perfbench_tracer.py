@@ -3,8 +3,8 @@
 The tracer wraps functions of ``skelgru`` by attribute substitution, so a
 rename or a moved call in ``src/`` can break ``perfbench/run.py --trace 1``
 or silently stop charging a layer. This test loads the tracer without
-writing anything under ``perfbench/`` and runs a tiny GAT and a tiny GCN
-forward pass under it.
+writing anything under ``perfbench/`` and runs an evaluation and a training
+forward pass of a tiny GAT and a tiny GCN under it.
 """
 
 import dataclasses
@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from skelgru import ops, training
+from skelgru.data import PreparedSplit
 from skelgru.graph import chain_topology
-from skelgru.model import SequenceBatch, init_model_params, tiny_reference_config
-from skelgru.tensor import Tape, Tensor
+from skelgru.model import init_model_params, tiny_reference_config
+from skelgru.tensor import Tape
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,8 +39,8 @@ def test_tracer_wraps_every_layer_the_model_uses(tracer_module, gnn):
     topo = chain_topology(config.n_nodes)
     params = init_model_params(config, seed=0)
     rng = np.random.default_rng(0)
-    batch = SequenceBatch(
-        Tensor(rng.normal(size=(2, config.seq_len, config.n_nodes, config.input_dim))),
+    batch = PreparedSplit(
+        rng.normal(size=(2, config.seq_len, config.n_nodes, config.input_dim)),
         np.ones((2, config.seq_len), dtype=bool),
         np.array([0, 2]),
     )
@@ -54,6 +55,11 @@ def test_tracer_wraps_every_layer_the_model_uses(tracer_module, gnn):
         with Tape():
             logits = training.model_forward(params, config, batch, topo, training=False)
             ops.cross_entropy(logits, batch.labels)
+        assert tracer.step_batch == {}
+        with Tape():  # positional, as the tracer reads the batch at args[2] and training at args[4]
+            logits = training.model_forward(params, config, batch, topo, True, np.random.default_rng(3))
+            ops.cross_entropy(logits, batch.labels)
+        assert tracer.step_batch == {(None, 0): 2}
     finally:
         tracer.uninstall()
 

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import adamw_step_ref
 from skelgru.config import load_run_config, model_config_from, synth_spec_from
-from skelgru.data import PreparedSplit, SynthSpec, prepare_split, split, synthesize
+from skelgru.data import DataFormatError, PreparedSplit, SynthSpec, prepare_split, split, synthesize
 from skelgru.graph import chain_topology
 from skelgru.model import (
     ModelConfig,
@@ -417,11 +417,10 @@ class TestEvaluate:
             assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
     def test_empty_split_rejected(self):
-        config, topo, tr, *_ = small_setup()
-        params = init_model_params(config, seed=0)
-        empty = PreparedSplit(tr.features[:0], tr.mask[:0], tr.labels[:0])
-        with pytest.raises(ValueError, match="empty"):
-            evaluate(params, config, topo, empty)
+        """An empty split cannot be built, so ``evaluate`` never sees one."""
+        _, _, tr, *_ = small_setup()
+        with pytest.raises(DataFormatError, match="at least one sample"):
+            PreparedSplit(tr.features[:0], tr.mask[:0], tr.labels[:0])
 
 
 class TestTrainLoop:
@@ -528,14 +527,11 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match="non-finite loss.*#"):
             train(params, config, topo, tr, va, plan, state, tmp_path)
 
-    def test_empty_split_rejected(self, tmp_path):
-        config, topo, tr, va, _ = small_setup()
-        params = init_model_params(config, seed=0)
-        plan = TrainPlan(epochs=1, batch_size=4)
-        state = init_adamw(named_parameters(params), lr=1e-3)
-        empty = PreparedSplit(tr.features[:0], tr.mask[:0], tr.labels[:0])
-        with pytest.raises(ValueError, match="non-empty"):
-            train(params, config, topo, empty, va, plan, state, tmp_path)
+    def test_empty_split_rejected(self):
+        """An empty split cannot be built, so ``train`` never sees one."""
+        _, _, tr, *_ = small_setup()
+        with pytest.raises(DataFormatError, match="at least one sample"):
+            PreparedSplit(tr.features[:0], tr.mask[:0], tr.labels[:0])
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
