@@ -31,6 +31,7 @@ import typing
 
 import numpy as np
 
+from .graph import numbered_lines
 from .model import ModelConfig, ModelParams, init_model_params, named_parameters
 
 MAGIC = b"SKGRU\x00"
@@ -44,9 +45,10 @@ class CheckpointError(ValueError):
 # ---------------------------------------------------------------------------
 # typed "key = value" text, shared by the config block and run configs
 
-def parse_value(key: str, raw: str, kind: type, error: type[ValueError]):
-    """Type one raw value as ``kind`` (int, float or str). A string loses
-    one pair of enclosing quotes, so quoted and bare strings read alike."""
+def parse_value(label: str, raw: str, kind: type, error: type[ValueError]):
+    """Type one raw value as ``kind`` (int, float or str); a fault names
+    ``label``. A string loses one pair of enclosing quotes, so quoted and
+    bare strings read alike."""
     raw = raw.strip()
     if kind is str:
         if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
@@ -56,16 +58,16 @@ def parse_value(key: str, raw: str, kind: type, error: type[ValueError]):
         return kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise error(f"{key}: cannot parse {raw!r} as {noun}") from None
+        raise error(f"{label}: cannot parse {raw!r} as {noun}") from None
 
 
-def parse_fields(text: str, kinds: dict[str, type], error: type[ValueError], source: str) -> dict:
-    """Read 'key = value' lines, skipping blanks and '#' comments; every
-    key must be in ``kinds``, which types its value. Faults raise ``error``."""
+def parse_fields(lines, kinds: dict[str, type], error: type[ValueError], source: str) -> dict:
+    """Read the 'key = value' lines of ``graph.numbered_lines``, skipping '#'
+    comments; every key must be in ``kinds``, which types its value. Faults
+    raise ``error`` naming ``<source>:<line>``."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in lines:
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise error(f"{source}:{lineno}: expected 'key = value', got {line!r}")
@@ -73,7 +75,7 @@ def parse_fields(text: str, kinds: dict[str, type], error: type[ValueError], sou
         key = key.strip()
         if key not in kinds:
             raise error(f"{source}:{lineno}: unknown key {key!r}")
-        values[key] = parse_value(key, raw, kinds[key], error)
+        values[key] = parse_value(f"{source}:{lineno}: {key}", raw, kinds[key], error)
     return values
 
 
@@ -178,7 +180,7 @@ def load_checkpoint(
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, supported {VERSION}")
     block = r.text("<I", "config block")
-    values = parse_fields(block, _CONFIG_KINDS, CheckpointError, f"{path} config block")
+    values = parse_fields(numbered_lines(block), _CONFIG_KINDS, CheckpointError, f"{path} config block")
     missing = _CONFIG_KINDS.keys() - values.keys()
     if missing:
         raise CheckpointError(f"{path}: config block missing fields: {sorted(missing)}")

@@ -158,6 +158,7 @@ def cmd_predict(cfg: dict, args) -> int:
         for sid, c, p in zip(prepared.ids, classes, probs)
     ]
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(_commented_config(cfg) + "\n".join(lines) + "\n", encoding="utf-8")
         print(f"predictions: {args.out}")
     else:

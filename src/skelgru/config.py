@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .checkpoint import format_fields, parse_fields, parse_value
 from .data import SynthSpec
+from .graph import numbered_lines, read_lines
 from .model import ModelConfig
 from .training import AdamWState, TrainPlan, init_adamw
 
@@ -65,7 +66,7 @@ _KINDS = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    return parse_fields(text, _KINDS, ConfigError, source)
+    return parse_fields(numbered_lines(text), _KINDS, ConfigError, source)
 
 
 def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
@@ -73,16 +74,10 @@ def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
     cfg = dict(DEFAULTS)
     if path is not None:
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            lines = read_lines(path, ConfigError)
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read run config: {exc.strerror}") from None
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
-        cfg.update(parse_config_text(text, source=str(path)))
+        cfg.update(parse_fields(lines, _KINDS, ConfigError, str(path)))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
@@ -90,7 +85,7 @@ def load_run_config(path=None, overrides: list[str] | None = None) -> dict:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"override: unknown key {key!r}")
-        cfg[key] = parse_value(key, raw, _KINDS[key], ConfigError)
+        cfg[key] = parse_value(f"--set {key}", raw, _KINDS[key], ConfigError)
     return cfg
 
 

@@ -110,8 +110,8 @@ class SynthSpec:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError(f"bad length range [{self.min_len}, {self.max_len}]")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,38 +125,29 @@ def ingest(path, topo: SkeletonTopology, class_count: int | None = None) -> Data
     a DataFormatError.
     """
     samples, ids = [], set()
-    for lineno, line in enumerate(read_lines(path, DataFormatError), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, DataFormatError):
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid record: {exc}") from None
-        if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
-            raise DataFormatError(f"{path}:{lineno}: record needs id, label, frames")
-        label = rec["label"]
-        if isinstance(label, bool) or not isinstance(label, int):
-            raise DataFormatError(f"{path}:{lineno}: label {label!r} is not an integer")
-        try:
+            if not isinstance(rec, dict) or not {"id", "label", "frames"} <= set(rec):
+                raise DataFormatError("record needs id, label, frames")
+            label = rec["label"]
+            if isinstance(label, bool) or not isinstance(label, int):
+                raise DataFormatError(f"label {label!r} is not an integer")
             seq = KeypointSequence(str(rec["id"]), label, rec["frames"])
-        except (DataFormatError, TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        # numpy reads a JSON true/false as 1.0/0.0; only a line that spells one needs the walk
-        if ("true" in line or "false" in line) and any(
-                isinstance(v, bool) for frame in rec["frames"] for joint in frame for v in joint):
-            raise DataFormatError(f"{path}:{lineno}: sample {seq.id!r}: boolean coordinate")
-        if seq.n_nodes != topo.n_nodes:
-            raise DataFormatError(
-                f"{path}:{lineno}: sample {seq.id!r} has {seq.n_nodes} nodes, "
-                f"topology has {topo.n_nodes}"
-            )
-        if seq.id in ids:
-            raise DataFormatError(f"{path}:{lineno}: duplicate sample id {seq.id!r}")
-        if class_count is not None and seq.label >= class_count:
-            raise DataFormatError(
-                f"{path}:{lineno}: sample {seq.id!r}: label {seq.label} outside [0, {class_count})"
-            )
+            # numpy reads a JSON true/false as 1.0/0.0; only a line that spells one needs the walk
+            if ("true" in line or "false" in line) and any(
+                    isinstance(v, bool) for frame in rec["frames"] for joint in frame for v in joint):
+                raise DataFormatError(f"sample {seq.id!r}: boolean coordinate")
+            if seq.n_nodes != topo.n_nodes:
+                raise DataFormatError(f"sample {seq.id!r} has {seq.n_nodes} nodes, topology has {topo.n_nodes}")
+            if seq.id in ids:
+                raise DataFormatError(f"duplicate sample id {seq.id!r}")
+            if class_count is not None and seq.label >= class_count:
+                raise DataFormatError(f"sample {seq.id!r}: label {seq.label} outside [0, {class_count})")
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            # a JSON fault, or a line nested past the recursion limit, is no record at all
+            invalid = "invalid record: " if isinstance(exc, (json.JSONDecodeError, RecursionError)) else ""
+            raise DataFormatError(f"{path}:{lineno}: {invalid}{exc}") from None
         ids.add(seq.id)
         samples.append(seq)
     if not samples:
@@ -346,9 +337,9 @@ def split(
     otherwise falls back to one unstratified shuffle with a warning. A
     split that would leave any part empty raises ValueError.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):
         raise ValueError(f"fractions must be three positive numbers, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     rng = derive_rng(seed, "split")
     labels = manifest.labels()

@@ -120,15 +120,24 @@ def default_17_topology() -> SkeletonTopology:
     return SkeletonTopology(17, _UPPER17_EDGES)
 
 
-def read_lines(path, error: type[Exception]) -> list[str]:
-    """A UTF-8 file's lines, split at \\r\\n, \\r and \\n as text mode splits
-    them; a byte that is not UTF-8 raises ``error`` naming ``<path>:<line>``."""
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for each non-blank line of ``text``.
+    A line ends at \\r\\n, \\r or \\n, as text mode splits it, and at no
+    other character."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(lineno, stripped) for lineno, line in enumerate(lines, start=1) if (stripped := line.strip())]
+
+
+def read_lines(path, error: type[Exception]) -> list[tuple[int, str]]:
+    """``numbered_lines`` of a UTF-8 file; a byte that is not UTF-8 raises
+    ``error`` naming ``<path>:<line>``, its line counted by the same rule."""
     with open(path, "rb") as fh:
-        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raw = fh.read()
     try:
-        return raw.decode("utf-8").split("\n")
+        return numbered_lines(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # the bad byte's line is the last line of the text before it; a mark keeps it from being blank
+        line = numbered_lines(raw[:exc.start].decode("utf-8") + ".")[-1][0]
         raise error(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
 
 
@@ -138,9 +147,8 @@ def read_topology_file(path) -> SkeletonTopology:
     the graph, names its line as ``<path>:<line>``."""
     n_nodes = n_nodes_line = None
     edges, edge_lines = [], []
-    for lineno, line in enumerate(read_lines(path, TopologyError), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in read_lines(path, TopologyError):
+        if line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "n_nodes" and n_nodes is not None:

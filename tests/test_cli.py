@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pkgutil
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skelgru
 from skelgru import training
@@ -95,6 +99,19 @@ class TestSynth:
         assert list(data.iterdir()) == []
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("synth.noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
+        ("synth.noise", "inf", "noise_sigma must be finite and >= 0, got inf"),
+        ("split.train", "nan", "fractions must be three positive numbers, got (nan, 0.15, 0.15)"),
+        ("split.val", "nan", "fractions must be three positive numbers, got (0.7, nan, 0.15)"),
+    ])
+    def test_non_finite_noise_or_fraction_is_config_error_writing_nothing(self, tmp_path, capsys, key,
+                                                                          value, message):
+        assert run("synth", *tiny_overrides(tmp_path, **{key: value})) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+
 class TestTrain:
     def test_writes_log_checkpoint_and_config_echo(self, tmp_path, capsys):
         synth_and_train(tmp_path)
@@ -127,6 +144,19 @@ class TestTrain:
         (tmp_path / "data/val.jsonl").write_text("")
         assert run("train", *args) == EXIT_DATA
         assert f"data error: {tmp_path / 'data' / 'val.jsonl'}: no samples" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_record_nested_past_the_recursion_limit_is_data_error_naming_its_line(self, tmp_path, capsys):
+        args = tiny_overrides(tmp_path)
+        assert run("synth", *args) == EXIT_OK
+        train_file = tmp_path / "data/train.jsonl"
+        deep = '{"id": "deep", "label": 0, "frames": ' + "[" * 1100 + "]" * 1100 + "}"
+        train_file.write_text(train_file.read_text().splitlines()[0] + "\n" + deep + "\n")
+        capsys.readouterr()
+        assert run("train", *args) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"data error: {train_file}:2: invalid record: maximum recursion depth" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
         assert not (tmp_path / "run").exists()
 
     def test_invalid_model_shape_is_config_error(self, tmp_path):
@@ -388,6 +418,13 @@ class TestPredict:
         assert text.startswith("# ")
         assert "# seed = 0" in text
 
+    def test_out_into_a_missing_directory_makes_it(self, tmp_path, capsys):
+        args = synth_and_train(tmp_path)
+        out_file = tmp_path / "preds/new/out.jsonl"
+        assert run("predict", str(tmp_path / "data/val.jsonl"), "--out", str(out_file), *args) == EXIT_OK
+        assert f"predictions: {out_file}" in capsys.readouterr().out
+        assert out_file.read_text().count('"probability"') == 2  # 2 classes x 10: one val sample each
+
     def test_malformed_input_is_data_error(self, tmp_path):
         args = synth_and_train(tmp_path)
         bad = tmp_path / "bad.jsonl"
@@ -510,6 +547,72 @@ def test_topology_faults_exit_with_their_code_and_name_where(tmp_path, capsys):
         captured = capsys.readouterr()
         assert message in captured.err and "Traceback" not in captured.err and not captured.out
         assert not (tmp_path / "run").exists()
+
+
+FRAMES = [[[0.0, 0.0, 1.0], [1.0, 0.5, 1.0], [0.0, 1.0, 1.0]]]  # one frame of chain:3
+
+# Per text input: the CLI arguments that read it from a directory, its file
+# name there, its exit code on a fault, the i-th good line (distinct per i,
+# holding characters that str.splitlines breaks at) and a bad-value line.
+TEXT_INPUTS = {
+    "dataset": (lambda tmp: ["train", *tiny_overrides(tmp)], "data/train.jsonl", EXIT_DATA,
+                lambda i: json.dumps({"id": f"s{i}\u2028\x85", "label": i % 2, "frames": FRAMES},
+                                     ensure_ascii=False),
+                json.dumps({"id": "bad", "label": "x", "frames": FRAMES})),
+    "topology": (lambda tmp: ["train", *tiny_overrides(tmp, **{"data.topology": tmp / "topo.txt"})],
+                 "topo.txt", EXIT_DATA,
+                 lambda i: ("n_nodes 3", "edge 0 1", "edge 1 2")[i] if i < 3 else f"# note {i}\x0c\u2029",
+                 "edge 0 one"),
+    "run config": (lambda tmp: ["train", "--config", str(tmp / "run.cfg"), *tiny_overrides(tmp)],
+                   "run.cfg", EXIT_CONFIG,
+                   lambda i: f"seed = {i}" if i % 2 else f"# note {i}\x1c\x85",
+                   "seed = x"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(sorted(TEXT_INPUTS)), byte_fault=st.booleans(),
+       rows=st.lists(st.tuples(st.sampled_from(["", " \t", None]), st.sampled_from(["\n", "\r\n", "\r"])),
+                     min_size=1, max_size=8),
+       at=st.integers(0, 7))
+def test_text_inputs_name_the_line_of_a_fault_as_text_mode_counts_it(tmp_path_factory, which, byte_fault,
+                                                                     rows, at):
+    """Rows are blank or good lines, each with a drawn ending; the one at
+    ``at`` holds a fault, a bad value or a byte that is not UTF-8. Every text
+    input exits with its code naming the fault's line as text mode numbers
+    it, and a line never ends at any other character."""
+    argv, name, code, good, bad = TEXT_INPUTS[which]
+    tmp = tmp_path_factory.mktemp("lines")
+    fault = at % len(rows)
+
+    def row(i, blank):
+        if i == fault:
+            return b"# \xff" if byte_fault else bad.encode()
+        return (good(i) if blank is None else blank).encode("utf-8")
+
+    text = b"".join(row(i, blank) + end.encode() for i, (blank, end) in enumerate(rows))
+    (tmp / name).parent.mkdir(exist_ok=True)
+    (tmp / name).write_bytes(text)
+    marker = "\xff" if byte_fault else bad  # UTF-8 never holds the byte 0xff
+    lines = io.StringIO(text.decode("latin-1"), newline=None).readlines()
+    line = next(k for k, got in enumerate(lines, start=1) if marker in got)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(*argv(tmp)) == code
+    assert f"{tmp / name}:{line}: " in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("body, argv, message", [
+    (b"seed = 0\r# \xff\r", [], "cr.cfg:2: not UTF-8 text: invalid start byte"),
+    (b"seed = 0\nseed = x\n", [], "cr.cfg:2: seed: cannot parse 'x' as an integer"),
+    (None, ["--set", "seed=x"], "config error: --set seed: cannot parse 'x' as an integer"),
+])
+def test_run_config_faults_name_their_line_or_override(tmp_path, capsys, body, argv, message):
+    if body is not None:
+        (tmp_path / "cr.cfg").write_bytes(body)
+        argv = ["--config", str(tmp_path / "cr.cfg")]
+    assert run("eval", *argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err and not captured.out
 
 
 class TestGradcheck:
